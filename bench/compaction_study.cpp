@@ -1,6 +1,7 @@
 // The §3 compaction study, three sections:
-//   (a) kernel: the packed bit-plane greedy sweep vs the sparse reference
-//       sweep — identical output, measured speedup (BENCH_compaction.json);
+//   (a) engine: compact_greedy's class-bitset first-fit engine vs the
+//       sparse reference sweep — identical output, measured speedup
+//       (BENCH_compaction.json);
 //   (b) quality: the greedy sweep achieves compaction ratios similar to a
 //       clique-covering approximation (first-fit coloring of the conflict
 //       graph) at a fraction of the runtime;
@@ -31,11 +32,11 @@ using namespace sitam;
 
 namespace {
 
-struct KernelRow {
+struct EngineRow {
   std::string soc;
   std::int64_t n_r = 0;
   double reference_seconds = 0.0;
-  double packed_seconds = 0.0;
+  double engine_seconds = 0.0;
   std::size_t compacted = 0;
   bool identical = false;
 };
@@ -54,8 +55,8 @@ double best_of(int repeats, const F& run) {
   return best;
 }
 
-void write_kernel_report(const std::string& path,
-                         const std::vector<KernelRow>& rows, int repeats) {
+void write_engine_report(const std::string& path,
+                         const std::vector<EngineRow>& rows, int repeats) {
   obs::RunManifest manifest = obs::RunManifest::collect("compaction_study");
   manifest.seed = 0x20070604ULL;
   manifest.threads = 1;
@@ -65,18 +66,18 @@ void write_kernel_report(const std::string& path,
   json.begin_object();
   json.key("manifest");
   manifest.write(json);
-  json.key("benchmark").value("compact_greedy kernel: packed vs reference");
+  json.key("benchmark").value("compact_greedy: first-fit engine vs reference");
   json.key("generator_seed").value(std::int64_t{0x20070604LL});
   json.key("timing_repeats").value(std::int64_t{repeats});
   json.key("rows").begin_array();
-  for (const KernelRow& row : rows) {
+  for (const EngineRow& row : rows) {
     json.begin_object();
     json.key("soc").value(row.soc);
     json.key("n_r").value(row.n_r);
     json.key("reference_seconds").value(row.reference_seconds);
-    json.key("packed_seconds").value(row.packed_seconds);
-    json.key("speedup").value(row.packed_seconds > 0.0
-                                  ? row.reference_seconds / row.packed_seconds
+    json.key("engine_seconds").value(row.engine_seconds);
+    json.key("speedup").value(row.engine_seconds > 0.0
+                                  ? row.reference_seconds / row.engine_seconds
                                   : 0.0);
     json.key("compacted_count")
         .value(static_cast<std::int64_t>(row.compacted));
@@ -98,26 +99,26 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
-  const std::vector<std::int64_t> kernel_sizes =
+  const std::vector<std::int64_t> sizes =
       smoke ? std::vector<std::int64_t>{500, 2000}
             : std::vector<std::int64_t>{2000, 10000, 30000};
   const int repeats = smoke ? 1 : 3;
 
-  std::cout << "== Packed bit-plane kernel vs sparse reference sweep ==\n";
-  TextTable kernel;
-  kernel.add_column("SOC", Align::kLeft);
-  kernel.add_column("N_r");
-  kernel.add_column("reference (s)");
-  kernel.add_column("packed (s)");
-  kernel.add_column("speedup");
-  kernel.add_column("compacted");
-  kernel.add_column("identical");
-  std::vector<KernelRow> kernel_rows;
+  std::cout << "== First-fit engine vs sparse reference sweep ==\n";
+  TextTable engine_table;
+  engine_table.add_column("SOC", Align::kLeft);
+  engine_table.add_column("N_r");
+  engine_table.add_column("reference (s)");
+  engine_table.add_column("engine (s)");
+  engine_table.add_column("speedup");
+  engine_table.add_column("compacted");
+  engine_table.add_column("identical");
+  std::vector<EngineRow> engine_rows;
 
   for (const char* soc_name : {"p34392", "p93791"}) {
     const Soc soc = load_benchmark(soc_name);
     const TerminalSpace ts(soc);
-    for (const std::int64_t n_r : kernel_sizes) {
+    for (const std::int64_t n_r : sizes) {
       Rng rng(0x20070604ULL);
       const RandomPatternConfig config;
       const auto patterns = generate_random_patterns(ts, n_r, config, rng);
@@ -127,34 +128,34 @@ int main(int argc, char** argv) {
         reference =
             compact_greedy_reference(patterns, ts.total(), config.bus_width);
       });
-      CompactionResult packed;
-      const double packed_seconds = best_of(repeats, [&] {
-        packed = compact_greedy(patterns, ts.total(), config.bus_width);
+      CompactionResult engine;
+      const double engine_seconds = best_of(repeats, [&] {
+        engine = compact_greedy(patterns, ts.total(), config.bus_width);
       });
 
-      KernelRow row;
+      EngineRow row;
       row.soc = soc_name;
       row.n_r = n_r;
       row.reference_seconds = reference_seconds;
-      row.packed_seconds = packed_seconds;
-      row.compacted = packed.patterns.size();
-      row.identical = reference.patterns == packed.patterns;
-      kernel_rows.push_back(row);
+      row.engine_seconds = engine_seconds;
+      row.compacted = engine.patterns.size();
+      row.identical = reference.patterns == engine.patterns;
+      engine_rows.push_back(row);
 
-      kernel.begin_row();
-      kernel.cell(std::string(soc_name));
-      kernel.cell(n_r);
-      kernel.cell(reference_seconds, 3);
-      kernel.cell(packed_seconds, 3);
-      kernel.cell(packed_seconds > 0.0 ? reference_seconds / packed_seconds
-                                       : 0.0,
-                  2);
-      kernel.cell(static_cast<std::int64_t>(row.compacted));
-      kernel.cell(std::string(row.identical ? "yes" : "NO"));
+      engine_table.begin_row();
+      engine_table.cell(std::string(soc_name));
+      engine_table.cell(n_r);
+      engine_table.cell(reference_seconds, 3);
+      engine_table.cell(engine_seconds, 3);
+      engine_table.cell(
+          engine_seconds > 0.0 ? reference_seconds / engine_seconds : 0.0, 2);
+      engine_table.cell(static_cast<std::int64_t>(row.compacted));
+      engine_table.cell(std::string(row.identical ? "yes" : "NO"));
     }
   }
-  std::cout << kernel
-            << "(same sweep decisions, word-parallel conflict checks)\n\n";
+  std::cout << engine_table
+            << "(same classes; one OR of class bitsets per care bit "
+               "instead of one probe per sweep round)\n\n";
 
   std::cout << "== Greedy sweep vs clique-cover approximation ==\n";
   TextTable quality;
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
   for (const char* soc_name : {"p34392", "p93791"}) {
     const Soc soc = load_benchmark(soc_name);
     const TerminalSpace ts(soc);
-    for (const std::int64_t n_r : kernel_sizes) {
+    for (const std::int64_t n_r : sizes) {
       Rng rng(0x20070604ULL);
       const RandomPatternConfig config;
       const auto patterns =
@@ -236,12 +237,12 @@ int main(int argc, char** argv) {
   }
   std::cout << volume;
 
-  if (!smoke) write_kernel_report("BENCH_compaction.json", kernel_rows, repeats);
+  if (!smoke) write_engine_report("BENCH_compaction.json", engine_rows, repeats);
 
-  for (const KernelRow& row : kernel_rows) {
+  for (const EngineRow& row : engine_rows) {
     if (!row.identical) {
-      std::cerr << "FAIL: packed kernel output diverged from the reference "
-                   "sweep on "
+      std::cerr << "FAIL: first-fit engine output diverged from the "
+                   "reference sweep on "
                 << row.soc << " N_r=" << row.n_r << "\n";
       return 1;
     }

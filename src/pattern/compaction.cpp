@@ -1,16 +1,16 @@
 #include "pattern/compaction.h"
 
 #include <algorithm>
-#include <future>
+#include <bit>
+#include <cstdint>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.h"
 #include "pattern/packed.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace sitam {
 
@@ -108,11 +108,213 @@ class SparseAccumulator {
   std::vector<int> touched_bus_;
 };
 
-/// How many candidates ahead the sweep hints the index records into cache.
-/// The alive list's gaps defeat hardware prefetchers, and a record that
-/// misses to L3 costs several times the check itself; ~12 checks of lead
-/// time covers that latency without thrashing the line-fill buffers.
-constexpr std::size_t kSweepPrefetchDistance = 12;
+/// First-fit clique cover over class-occupancy bitsets — the one engine
+/// behind compact_greedy and compact_first_fit.
+///
+/// Classes are numbered in opening order and stored 64 to a block. For each
+/// (touched terminal, block) a PlaneWord holds bit c of class 64·block + c:
+/// care says the class sets that terminal, value/active give its planes.
+/// For each (touched bus line, block) an occupancy word says which classes
+/// drive the line, and one word per (line, driver) pair occurring in the
+/// input says which drive it from that core. A pattern's conflicts with a
+/// whole block are then the OR of one word formula per care bit and bus bit,
+/// and its first compatible class is the first zero bit — O(bits · blocks)
+/// instead of one accumulator probe per class.
+///
+/// Construction validates every id against the declared dimensions and
+/// throws std::out_of_range (message-compatible with the sparse reference)
+/// before any placement work. The engine borrows `patterns`.
+class FirstFitEngine {
+ public:
+  FirstFitEngine(std::span<const SiPattern> patterns, int total_terminals,
+                 int bus_width)
+      : patterns_(patterns),
+        slot_of_(static_cast<std::size_t>(total_terminals), -1),
+        line_slot_(static_cast<std::size_t>(bus_width), -1) {
+    for (const SiPattern& p : patterns) {
+      for (const auto& [terminal, value] : p.assignments()) {
+        if (terminal >= total_terminals) {
+          throw std::out_of_range("compaction: terminal id " +
+                                  std::to_string(terminal) +
+                                  " outside declared terminal space");
+        }
+        slot_of_[static_cast<std::size_t>(terminal)] = 0;
+      }
+      for (const BusBit& bit : p.bus_bits()) {
+        if (bit.line >= bus_width) {
+          throw std::out_of_range("compaction: bus line " +
+                                  std::to_string(bit.line) +
+                                  " outside declared bus width");
+        }
+        line_slot_[static_cast<std::size_t>(bit.line)] = 0;
+        pairs_.push_back(bit);
+      }
+    }
+    // Dense slots in ascending id order, so materialize() emits each class
+    // already sorted.
+    for (std::size_t t = 0; t < slot_of_.size(); ++t) {
+      if (slot_of_[t] < 0) continue;
+      slot_of_[t] = static_cast<std::int32_t>(terminals_.size());
+      terminals_.push_back(static_cast<int>(t));
+    }
+    for (std::int32_t& slot : line_slot_) {
+      if (slot == 0) slot = static_cast<std::int32_t>(lines_++);
+    }
+    std::sort(pairs_.begin(), pairs_.end(), by_line_then_driver);
+    pairs_.erase(std::unique(pairs_.begin(), pairs_.end()), pairs_.end());
+  }
+
+  /// Puts pattern `i` into the first class it is compatible with, opening
+  /// a new class if there is none.
+  void place(std::size_t i) {
+    load(patterns_[i]);
+    const std::size_t terminals = terminals_.size();
+    const std::size_t pairs = pairs_.size();
+    for (std::size_t block = 0; block * 64 < classes_; ++block) {
+      const PlaneWord* const planes = planes_.data() + block * terminals;
+      std::uint64_t conflict = 0;
+      for (const CareRef& c : care_) {
+        const PlaneWord& w = planes[c.slot];
+        conflict |= w.care & ((w.value ^ c.value) | (w.active ^ c.active));
+      }
+      const std::uint64_t* const occupied = occupied_.data() + block * lines_;
+      const std::uint64_t* const driven = driven_.data() + block * pairs;
+      for (const BusRef& r : bus_) {
+        conflict |= occupied[r.line] & ~driven[r.pair];
+      }
+      // Bits of classes not opened yet read as conflict-free; mask them.
+      const std::size_t open = std::min<std::size_t>(64, classes_ - block * 64);
+      const std::uint64_t opened =
+          open == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << open) - 1;
+      const std::uint64_t free = ~conflict & opened;
+      if (free != 0) {
+        absorb(block * 64 + static_cast<std::size_t>(std::countr_zero(free)));
+        return;
+      }
+    }
+    if (classes_ % 64 == 0) {
+      planes_.resize(planes_.size() + terminals);
+      occupied_.resize(occupied_.size() + lines_);
+      driven_.resize(driven_.size() + pairs);
+    }
+    care_size_.push_back(0);
+    bus_size_.push_back(0);
+    absorb(classes_++);
+  }
+
+  /// Every class as a pattern, in opening order; terminals and bus lines
+  /// ascend, exactly as the sparse reference emits them.
+  [[nodiscard]] std::vector<SiPattern> materialize() const {
+    std::vector<std::vector<std::pair<int, SigValue>>> assignments(classes_);
+    std::vector<std::vector<BusBit>> bus(classes_);
+    for (std::size_t c = 0; c < classes_; ++c) {
+      assignments[c].reserve(care_size_[c]);
+      bus[c].reserve(bus_size_[c]);
+    }
+    const std::size_t terminals = terminals_.size();
+    const std::size_t pairs = pairs_.size();
+    for (std::size_t block = 0; block * 64 < classes_; ++block) {
+      for (std::size_t slot = 0; slot < terminals; ++slot) {
+        const PlaneWord& w = planes_[block * terminals + slot];
+        for (std::uint64_t bits = w.care; bits != 0; bits &= bits - 1) {
+          const int c = std::countr_zero(bits);
+          assignments[block * 64 + static_cast<std::size_t>(c)].emplace_back(
+              terminals_[slot], decode_planes(((w.value >> c) & 1u) != 0,
+                                              ((w.active >> c) & 1u) != 0));
+        }
+      }
+      for (std::size_t pair = 0; pair < pairs; ++pair) {
+        for (std::uint64_t bits = driven_[block * pairs + pair]; bits != 0;
+             bits &= bits - 1) {
+          bus[block * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
+              .push_back(pairs_[pair]);
+        }
+      }
+    }
+    std::vector<SiPattern> patterns;
+    patterns.reserve(classes_);
+    for (std::size_t c = 0; c < classes_; ++c) {
+      patterns.push_back(SiPattern::from_sorted(std::move(assignments[c]),
+                                                std::move(bus[c])));
+    }
+    return patterns;
+  }
+
+ private:
+  /// One care bit of the pattern being placed: its dense terminal slot and
+  /// its planes broadcast to all 64 classes of a block.
+  struct CareRef {
+    std::size_t slot;
+    std::uint64_t value;
+    std::uint64_t active;
+  };
+  /// One bus bit of the pattern being placed: dense line slot and dense
+  /// (line, driver) pair.
+  struct BusRef {
+    std::size_t line;
+    std::size_t pair;
+  };
+
+  static bool by_line_then_driver(const BusBit& a, const BusBit& b) {
+    return a.line != b.line ? a.line < b.line : a.driver_core < b.driver_core;
+  }
+
+  /// Translates `p` into the care_/bus_ scratch lists.
+  void load(const SiPattern& p) {
+    care_.clear();
+    for (const auto& [terminal, value] : p.assignments()) {
+      care_.push_back(CareRef{
+          static_cast<std::size_t>(
+              slot_of_[static_cast<std::size_t>(terminal)]),
+          std::uint64_t{0} - value_plane_bit(value),
+          std::uint64_t{0} - active_plane_bit(value)});
+    }
+    bus_.clear();
+    for (const BusBit& bit : p.bus_bits()) {
+      const auto pair = std::lower_bound(pairs_.begin(), pairs_.end(), bit,
+                                         by_line_then_driver);
+      bus_.push_back(BusRef{
+          static_cast<std::size_t>(
+              line_slot_[static_cast<std::size_t>(bit.line)]),
+          static_cast<std::size_t>(pair - pairs_.begin())});
+    }
+  }
+
+  /// Merges the loaded pattern into class `cls`.
+  void absorb(std::size_t cls) {
+    const std::size_t block = cls / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (cls % 64);
+    PlaneWord* const planes = planes_.data() + block * terminals_.size();
+    for (const CareRef& c : care_) {
+      PlaneWord& w = planes[c.slot];
+      care_size_[cls] += (w.care & bit) == 0 ? 1u : 0u;
+      w.care |= bit;
+      w.value |= bit & c.value;
+      w.active |= bit & c.active;
+    }
+    for (const BusRef& r : bus_) {
+      std::uint64_t& occupied = occupied_[block * lines_ + r.line];
+      bus_size_[cls] += (occupied & bit) == 0 ? 1u : 0u;
+      occupied |= bit;
+      driven_[block * pairs_.size() + r.pair] |= bit;
+    }
+  }
+
+  std::span<const SiPattern> patterns_;
+  std::vector<std::int32_t> slot_of_;    // terminal id -> dense slot
+  std::vector<std::int32_t> line_slot_;  // bus line -> dense line slot
+  std::vector<int> terminals_;           // dense slot -> terminal id
+  std::size_t lines_ = 0;                // touched bus lines
+  std::vector<BusBit> pairs_;            // dense pair -> (line, driver)
+  std::vector<CareRef> care_;            // scratch: pattern being placed
+  std::vector<BusRef> bus_;
+  std::size_t classes_ = 0;
+  std::vector<std::uint32_t> care_size_;  // per class: care bits, bus lines
+  std::vector<std::uint32_t> bus_size_;
+  std::vector<PlaneWord> planes_;        // blocks x terminals_, block-major
+  std::vector<std::uint64_t> occupied_;  // blocks x lines_
+  std::vector<std::uint64_t> driven_;    // blocks x pairs_
+};
 
 }  // namespace
 
@@ -129,86 +331,10 @@ CompactionResult compact_greedy(std::span<const SiPattern> patterns,
   CompactionResult result;
   result.stats.original_count = patterns.size();
 
-  const PackedLayout layout{total_terminals, bus_width};
-  const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
-  PackedAccumulator acc(layout);
-
-  // `alive` holds the not-yet-compacted indices in ascending order; each
-  // round seeds on the first one, sweeps the rest, and keeps the leftovers.
-  std::vector<std::uint32_t> alive(patterns.size());
-  std::iota(alive.begin(), alive.end(), std::uint32_t{0});
-  std::vector<std::uint32_t> leftover;
-  leftover.reserve(alive.size());
-
-  std::optional<ThreadPool> pool;
-  if (config.threads > 1 && alive.size() > config.min_parallel_candidates) {
-    pool.emplace(config.threads);
-  }
-  std::vector<std::uint8_t> survivor;   // parallel filter scratch
-  std::vector<std::future<void>> futures;
-
-  while (!alive.empty()) {
-    acc.reset();
-    acc.absorb(set, alive.front());
-    const std::span<const std::uint32_t> candidates =
-        std::span(alive).subspan(1);
-    leftover.clear();
-
-    if (pool && candidates.size() >= config.min_parallel_candidates) {
-      // Deterministic parallel sweep. Workers probe their shard against
-      // the accumulator *snapshot* (only reads — fits() is const); a
-      // candidate that conflicts with the snapshot also conflicts with
-      // every later state of this round's accumulator (it only grows, and
-      // absorbed values never change), so snapshot-rejects are exact. The
-      // survivors are then merged serially in ascending index order with a
-      // re-test against the growing accumulator — precisely the decision
-      // the serial sweep makes — so the output is bit-identical to the
-      // serial sweep for any thread count and any shard geometry.
-      survivor.assign(candidates.size(), 0);
-      const std::size_t shards = static_cast<std::size_t>(pool->size());
-      const std::size_t chunk = (candidates.size() + shards - 1) / shards;
-      futures.clear();
-      for (std::size_t begin = 0; begin < candidates.size(); begin += chunk) {
-        const std::size_t end = std::min(begin + chunk, candidates.size());
-        futures.push_back(pool->submit([&, begin, end] {
-          for (std::size_t k = begin; k < end; ++k) {
-            if (k + kSweepPrefetchDistance < end) {
-              index.prefetch(candidates[k + kSweepPrefetchDistance]);
-            }
-            survivor[k] = acc.fits(index, candidates[k]) ? 1 : 0;
-          }
-        }));
-      }
-      for (auto& future : futures) future.get();
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        const std::uint32_t candidate = candidates[k];
-        if (survivor[k] != 0 && acc.fits(index, candidate)) {
-          acc.absorb(set, candidate);
-        } else {
-          leftover.push_back(candidate);
-        }
-      }
-    } else {
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        if (k + kSweepPrefetchDistance < candidates.size()) {
-          index.prefetch(candidates[k + kSweepPrefetchDistance]);
-        }
-        const std::uint32_t candidate = candidates[k];
-        if (acc.fits(index, candidate)) {
-          acc.absorb(set, candidate);
-        } else {
-          leftover.push_back(candidate);
-        }
-      }
-    }
-    result.patterns.push_back(acc.to_pattern());
-    // Rejects this round == candidates the sweep could not merge into the
-    // seed; the histogram shape shows how quickly rounds drain.
-    SITAM_COUNTER("pattern.compaction.rounds", 1);
-    SITAM_HISTOGRAM("pattern.compaction.sweep_rejects", leftover.size());
-    std::swap(alive, leftover);
-  }
+  // Unsorted first-fit is the greedy sweep: class k is sweep round k.
+  FirstFitEngine engine(patterns, total_terminals, bus_width);
+  for (std::size_t i = 0; i < patterns.size(); ++i) engine.place(i);
+  result.patterns = engine.materialize();
 
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();
@@ -267,10 +393,7 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
   CompactionResult result;
   result.stats.original_count = patterns.size();
 
-  const PackedLayout layout{total_terminals, bus_width};
-  const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
-
+  FirstFitEngine engine(patterns, total_terminals, bus_width);
   // Welsh-Powell order: densest (hardest to place) patterns first. The
   // density keys are computed once up front — not inside the comparator,
   // which would recompute them on every one of the O(n log n) comparisons.
@@ -285,30 +408,8 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
                    [&density](std::size_t a, std::size_t b) {
                      return density[a] > density[b];
                    });
-
-  // Classes are packed accumulators; a candidate joins the first class it
-  // is compatible with (first-fit coloring of the conflict graph).
-  std::vector<PackedAccumulator> classes;
-  for (const std::size_t candidate : order) {
-    bool placed = false;
-    for (PackedAccumulator& cls : classes) {
-      // The candidate's sweep record stays hot in L1 across the classes.
-      if (cls.fits(index, candidate)) {
-        cls.absorb(set, candidate);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      classes.emplace_back(layout);
-      classes.back().absorb(set, candidate);
-    }
-  }
-
-  result.patterns.reserve(classes.size());
-  for (const PackedAccumulator& cls : classes) {
-    result.patterns.push_back(cls.to_pattern());
-  }
+  for (const std::size_t i : order) engine.place(i);
+  result.patterns = engine.materialize();
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();
   return result;

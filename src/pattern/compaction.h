@@ -1,28 +1,27 @@
 // Vertical SI test compaction: pattern-count reduction (§3).
 //
 // Finding the minimum compacted set is the NP-complete clique covering
-// problem on the pattern-compatibility graph. Two solvers are provided,
-// both running on the packed bit-plane kernel of packed.h (word-parallel
-// compatibility checks, one-AND summary pruning):
+// problem on the pattern-compatibility graph. Both solvers below run one
+// engine — first-fit over class-occupancy bitsets — in two orders:
 //
 //  * compact_greedy — the paper's heuristic: take the first uncompacted
 //    pattern and merge every following compatible pattern into it, repeat.
-//    Candidates are tested against a dense packed accumulator in O(slots)
-//    word ops; with CompactionConfig::threads > 1 the per-round sweep is
-//    sharded across a thread pool and stays bit-identical to the serial
-//    sweep for any thread count (see the merge rule in compaction.cpp).
+//    That sweep is pointwise identical to *unsorted* first-fit (class k of
+//    first-fit is exactly sweep round k), so it runs as first-fit in input
+//    order.
 //
 //  * compact_first_fit — a classical clique-cover approximation:
-//    Welsh-Powell-style first-fit coloring of the conflict graph. Patterns
-//    are processed in descending density (care bits + bus bits, keys
-//    precomputed once) and each goes into the first existing compatible
-//    class, held as a packed accumulator. Note that *unsorted* first-fit
-//    would be pointwise identical to the greedy sweep (class k of
-//    first-fit is exactly sweep round k), so the density ordering is what
-//    makes this a distinct reference point. Comparable compaction ratios
-//    at higher runtime — exactly the trade-off §3 reports.
+//    Welsh-Powell-style first-fit coloring of the conflict graph, placing
+//    patterns in descending density (care bits + bus bits, keys computed
+//    once). The ordering is what makes this a distinct reference point.
 //
-// compact_greedy_reference is the pre-packed sparse sweep, kept verbatim
+// The engine keeps, for every touched terminal and bus line, one bit per
+// class in blocks of 64 classes. A pattern finds its class by OR-ing the
+// conflict words of its care and bus bits block by block and taking the
+// first zero bit — no per-class probing, no sweep rounds. Memory is
+// O(classes/64 × (touched terminals × 24 B + bus words)).
+//
+// compact_greedy_reference is the historical sparse sweep, kept verbatim
 // as the before/after baseline for BENCH_compaction.json and as the
 // equivalence oracle in tests — compact_greedy must reproduce its output
 // byte for byte.
@@ -54,32 +53,32 @@ struct CompactionResult {
   CompactionStats stats;
 };
 
-/// Knobs for the greedy sweep. The output is bit-identical for every
-/// setting — threads only shard a pure candidate filter.
+/// Knobs for compact_greedy.
 struct CompactionConfig {
-  /// Worker threads for the greedy sweep; 1 = serial.
+  /// Validated (threads < 1 throws) but inert: the engine is serial and
+  /// neither output nor speed depends on it. Kept for source compatibility
+  /// until a shared executor (ROADMAP item 3b) gives it a meaning or it is
+  /// removed.
   int threads = 1;
-  /// Rounds with fewer remaining candidates than this run serially (the
-  /// sharding overhead would dominate). Exposed so tests can force the
-  /// parallel path on small inputs.
-  std::size_t min_parallel_candidates = 2048;
 };
 
-/// Paper's greedy sweep on the packed kernel. `total_terminals` and
-/// `bus_width` size the bit-planes (use TerminalSpace::total() and the bus
-/// width; patterns with ids outside these ranges throw std::out_of_range).
+/// Paper's greedy sweep. `total_terminals` and `bus_width` are the declared
+/// dimensions (use TerminalSpace::total() and the bus width); patterns with
+/// ids outside them throw std::out_of_range before any work is done.
 /// Throws std::invalid_argument for negative dimensions or threads < 1.
 [[nodiscard]] CompactionResult compact_greedy(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width,
     const CompactionConfig& config = {});
 
 /// The historical sparse-list sweep (per-care-bit checks against an
-/// epoch-stamped dense accumulator). Frozen as the benchmark baseline and
-/// the byte-identity oracle for compact_greedy; do not optimize.
+/// epoch-stamped dense accumulator, one round per compacted pattern).
+/// Frozen as the benchmark baseline and the byte-identity oracle for
+/// compact_greedy; do not optimize.
 [[nodiscard]] CompactionResult compact_greedy_reference(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width);
 
-/// First-fit clique-cover approximation (reference quality bar).
+/// First-fit clique-cover approximation in density order (reference
+/// quality bar). Same id contract as compact_greedy.
 [[nodiscard]] CompactionResult compact_first_fit(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width);
 

@@ -131,43 +131,9 @@ bool PackedPatternSet::compatible(std::size_t i, std::size_t j) const {
   return true;
 }
 
-PackedSweepIndex::PackedSweepIndex(const PackedPatternSet& set)
-    : set_(&set), records_(set.size()) {
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    const PackedHeader& h = set.header(i);
-    const std::span<const PackedSlot> slots = set.slots(i);
-    Record& r = records_[i];
-    std::uint64_t* const care[4] = {&r.care0, &r.care1, &r.care2, &r.care3};
-    std::uint64_t* const value[4] = {&r.value0, &r.value1, &r.value2,
-                                     &r.value3};
-    std::uint64_t* const active[4] = {&r.active0, &r.active1, &r.active2,
-                                      &r.active3};
-    std::size_t inlined = 0;
-    while (inlined < slots.size() && inlined < 4 &&
-           slots[inlined].word <= 0xffffu) {
-      const PackedSlot& s = slots[inlined];
-      *care[inlined] = s.care;
-      *value[inlined] = s.value;
-      *active[inlined] = s.active;
-      r.word[inlined] = static_cast<std::uint16_t>(s.word);
-      ++inlined;
-    }
-    r.rest_begin = h.slot_begin + static_cast<std::uint32_t>(inlined);
-    r.slot_end = h.slot_end;
-    r.bus_word0 = h.bus_word0;
-    r.uniform_driver = h.uniform_driver;
-  }
-}
-
 PackedAccumulator::PackedAccumulator(PackedLayout layout)
-    : PackedAccumulator(layout, packed_active_kernels()) {}
-
-PackedAccumulator::PackedAccumulator(PackedLayout layout,
-                                     const PackedKernels& kernels)
     : layout_(layout),
-      kernels_(&kernels),
-      planes_(std::max<std::size_t>(
-          1, static_cast<std::size_t>(layout.signal_words()))),
+      planes_(static_cast<std::size_t>(layout.signal_words())),
       bus_mask_(static_cast<std::size_t>(layout.bus_words()), 0),
       bus_driver_(static_cast<std::size_t>(layout.bus_width), 0),
       bus_epoch_(static_cast<std::size_t>(layout.bus_width), 0) {}
@@ -190,21 +156,15 @@ bool PackedAccumulator::fits(const PackedPatternSet& set,
   // accept decisions need into one cache line per candidate.
   const PackedHeader& h = set.header(i);
   if ((h.summary & summary_) != 0) {
-    const PackedSlot* const s = set.slot_data() + h.slot_begin;
-    const PackedSlot* const end = set.slot_data() + h.slot_end;
-#if SITAM_PACKED_KERNEL_DISPATCH
-    if (kernels_->slots_conflict(s, end, planes_.data())) return false;
-#else
-    if (packed_scalar_slots_conflict(s, end, planes_.data())) return false;
-#endif
+    for (const PackedSlot& s : set.slots(i)) {
+      const PlaneWord& p = planes_[s.word];
+      if ((s.care & p.care & ((s.value ^ p.value) | (s.active ^ p.active))) !=
+          0) {
+        return false;
+      }
+    }
   }
-  return fits_bus(set, i, h.bus_word0, h.uniform_driver);
-}
-
-bool PackedAccumulator::fits_bus(const PackedPatternSet& set, std::size_t i,
-                                 std::uint64_t bus_word0,
-                                 std::int32_t uniform_driver) const {
-  std::uint64_t overlap = bus_word0 & bus0_;
+  std::uint64_t overlap = h.bus_word0 & bus0_;
   if (bus_mask_.size() > 1) {
     const auto mask = set.bus_mask(i);
     for (std::size_t w = 1; w < mask.size(); ++w) {
@@ -212,7 +172,9 @@ bool PackedAccumulator::fits_bus(const PackedPatternSet& set, std::size_t i,
     }
   }
   if (overlap == 0) return true;
-  if (uniform_driver >= 0 && uniform_driver == driver_state_) return true;
+  if (h.uniform_driver >= 0 && h.uniform_driver == driver_state_) {
+    return true;
+  }
   for (const BusBit& bit : set.bus_bits(i)) {
     const auto line = static_cast<std::size_t>(bit.line);
     if (bus_epoch_[line] == epoch_ && bus_driver_[line] != bit.driver_core) {

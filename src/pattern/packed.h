@@ -1,11 +1,11 @@
-// Packed bit-plane representation of SI test patterns (§3 hot path).
+// Packed bit-plane representation of SI test patterns.
 //
 // The sparse (terminal, value) lists of SiPattern are ideal for building
-// patterns one assignment at a time, but vertical compaction spends its
-// whole life asking one question — "can these two patterns coexist?" — tens
-// of millions of times. This header packs the 5-valued alphabet of value.h
-// into three 64-bit bit-planes over the terminal space so that question
-// becomes a handful of word ops:
+// patterns one assignment at a time; checking that a compacted set covers
+// its originals (first_uncovered) instead asks "is this pattern contained
+// in that one?" for many pairs. This header packs the 5-valued alphabet of
+// value.h into three 64-bit bit-planes over the terminal space so that
+// question becomes a handful of word ops:
 //
 //   care   — bit t set iff terminal t carries a non-don't-care value.
 //   value  — final-cycle level: set for kStable1 and kRise.
@@ -13,13 +13,13 @@
 //
 // Two patterns conflict on a terminal iff both care about it and either
 // plane disagrees:  care_a & care_b & ((val_a^val_b) | (act_a^act_b)).
+// The same encoding, transposed to one bit per compacted class, drives the
+// first-fit compaction engine in compaction.cpp.
 //
 // Patterns are *word-compressed*: only the nonzero care words are
-// materialized, as sorted (word index, care, value, active) slots — an SI
-// pattern touches a handful of words out of dozens, and streaming 3 dense
-// planes per pattern would turn the sweep memory-bound. A one-word summary
-// (care-word occupancy OR-folded to 64 bits) rejects disjoint pairs in a
-// single AND before any slot is read.
+// materialized, as sorted (word index, care, value, active) slots. A
+// one-word summary (care-word occupancy OR-folded to 64 bits) rejects
+// disjoint pairs in a single AND before any slot is read.
 //
 // The shared-bus postfix packs into an occupancy mask per pattern plus a
 // per-driver disambiguation table: masks answer "any shared line?" in one
@@ -28,8 +28,8 @@
 // drive all their lines from the victim core.
 //
 // PackedAccumulator is the dense counterpart: full bit-planes for one
-// growing compacted pattern (or one first-fit class), against which a
-// word-compressed candidate is tested in O(slots).
+// merged pattern, against which a word-compressed member is tested in
+// O(slots).
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,6 @@
 
 #include "pattern/pattern.h"
 #include "pattern/value.h"
-#include "util/check.h"
 
 namespace sitam {
 
@@ -88,9 +87,9 @@ struct PackedSlot {
   std::uint64_t active = 0;   ///< Canonical: active ⊆ care.
 };
 
-/// Per-pattern hot metadata, consolidated into one 32-byte record so the
-/// sweep's reject path touches a single cache line per candidate: the
-/// folded care summary, bus occupancy word 0 (the whole mask for the
+/// Per-pattern hot metadata, consolidated into one 32-byte record so a
+/// rejected probe touches a single cache line per pattern: the folded care
+/// summary, bus occupancy word 0 (the whole mask for the
 /// ubiquitous bus_width <= 64 case), the slot range, and the uniform
 /// driver for the bus fast path.
 struct PackedHeader {
@@ -104,9 +103,8 @@ struct PackedHeader {
 /// An immutable batch of patterns packed into word-compressed bit-planes.
 ///
 /// Packing validates every terminal/bus id against the layout up front and
-/// throws std::out_of_range (message-compatible with the historical lazy
-/// checks of the sparse accumulator) — so the compaction entry points fail
-/// on malformed input before any work is done.
+/// throws std::out_of_range (message-compatible with the checks of the
+/// compaction entry points).
 class PackedPatternSet {
  public:
   /// Packs `patterns`; O(total assignments). Throws std::invalid_argument
@@ -128,10 +126,6 @@ class PackedPatternSet {
   /// Consolidated hot metadata of pattern `i`.
   [[nodiscard]] const PackedHeader& header(std::size_t i) const {
     return headers_[i];
-  }
-  /// Backing slot storage; index with header(i).slot_begin/slot_end.
-  [[nodiscard]] const PackedSlot* slot_data() const noexcept {
-    return slots_.data();
   }
   /// Care-word occupancy folded to one word: bit (w mod 64) is set iff
   /// care word w is nonzero. A zero AND of two summaries proves care
@@ -167,210 +161,20 @@ class PackedPatternSet {
   std::vector<std::uint32_t> bus_begin_;    // size()+1 prefix offsets
 };
 
-/// One terminal chunk of the accumulator's three planes, interleaved so a
-/// probe of word w touches one ~cache-line-local record instead of three
-/// parallel arrays.
+/// One 64-bit chunk of the three planes, interleaved so a probe touches one
+/// ~cache-line-local record instead of three parallel arrays.
 struct PlaneWord {
   std::uint64_t care = 0;
   std::uint64_t value = 0;
   std::uint64_t active = 0;
 };
 
-/// Sweep-optimized mirror of a PackedPatternSet.
-///
-/// The greedy sweep rejects ~99.8% of the candidates it probes, and the
-/// reject is decided by the candidate's first few slots: on the DAC'07
-/// workloads 78% of signal rejects fire on slot 0 and 99.8% within the
-/// first four. Walking the shared slot array for that answer costs a
-/// dependent (and usually L2/L3-missing) load per candidate; this index
-/// instead mirrors each pattern into a fixed 128-byte record — two cache
-/// lines — with the first four slots inlined:
-///
-///   line 0: slots 0–1 planes, all four word indices, rest-of-slots range;
-///   line 1: slots 2–3 planes, bus word 0, uniform driver.
-///
-/// Line 0 alone decides the dominant slot-0/1 rejects, both lines cover
-/// everything up to slot 3, and only the rare denser pattern (or a fit)
-/// falls through to the shared slot array at `rest_begin`. Records are
-/// fixed-size, so the sweep can prefetch() candidates a fixed distance
-/// ahead through an arbitrary alive-index list — the access pattern that
-/// defeats hardware prefetchers.
-///
-/// Inlined word indices are 16-bit; the (astronomically large) layouts
-/// whose word index overflows 16 bits simply inline fewer slots — the
-/// record stays exact, the walk just starts earlier.
-///
-/// The index borrows the set (non-owning): it must not outlive it.
-class PackedSweepIndex {
- public:
-  /// One pattern's sweep record; see the class comment for the layout.
-  struct alignas(64) Record {
-    // line 0 — decides the dominant slot-0/1 rejects
-    std::uint64_t care0 = 0, value0 = 0, active0 = 0;
-    std::uint64_t care1 = 0, value1 = 0, active1 = 0;
-    std::uint16_t word[4] = {0, 0, 0, 0};
-    std::uint32_t rest_begin = 0;  ///< First slot not inlined below.
-    std::uint32_t slot_end = 0;
-    // line 1 — slots 2–3 and the bus fast-path fields
-    std::uint64_t care2 = 0, value2 = 0, active2 = 0;
-    std::uint64_t care3 = 0, value3 = 0, active3 = 0;
-    std::uint64_t bus_word0 = 0;
-    std::int32_t uniform_driver = kNoBusDriver;
-    std::uint32_t reserved = 0;
-  };
-  static_assert(sizeof(Record) == 128);
-
-  explicit PackedSweepIndex(const PackedPatternSet& set);
-
-  [[nodiscard]] const PackedPatternSet& set() const noexcept { return *set_; }
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] const Record& record(std::size_t i) const {
-    return records_[i];
-  }
-
-  /// Hints both cache lines of record `i` into cache; issue this a fixed
-  /// distance ahead of the probe when sweeping an index list.
-  void prefetch(std::size_t i) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    const char* p = reinterpret_cast<const char*>(&records_[i]);
-    __builtin_prefetch(p);
-    __builtin_prefetch(p + 64);
-#else
-    (void)i;
-#endif
-  }
-
- private:
-  const PackedPatternSet* set_;
-  std::vector<Record> records_;
-};
-
-// ---------------------------------------------------------------------------
-// Plane-sweep kernel table (SITAM_SIMD).
-//
-// The probe loops below are 64-bit word-parallel already; SIMD widens them
-// across *slots*: the AVX2 kernels probe all four inlined record slots (and
-// rest-walk blocks of four) with one gather per plane, the NEON kernels
-// probe slot pairs. Every kernel returns exactly the scalar decision — a
-// boolean with no observable early-exit difference — so compaction output
-// is byte-identical whichever kernel runs (packed_kernels_test sweeps
-// packed_all_kernels() to enforce this).
-//
-// Dispatch is resolved from CPU features at runtime: SITAM_SIMD=ON builds
-// on x86-64 also compile an AVX2 TU (per-file -mavx2) and select it iff the
-// running CPU reports AVX2; aarch64 builds compile the NEON TU (NEON is
-// baseline there). The scalar kernels are always built; SITAM_SIMD=OFF
-// builds bypass the table entirely and inline them directly, keeping the
-// codegen of the pre-table implementation.
-//
-// Raw vector intrinsics are confined to the packed_kernels_{avx2,neon}.cpp
-// TUs — lint rule SL016 rejects them anywhere else.
-
-#if defined(SITAM_SIMD_AVX2) || defined(SITAM_SIMD_NEON)
-#define SITAM_PACKED_KERNEL_DISPATCH 1
-#else
-#define SITAM_PACKED_KERNEL_DISPATCH 0
-#endif
-
-/// One plane-sweep kernel set. The two entry points cover both probe
-/// shapes the sweeps use: a sweep-index record (four inlined slots plus a
-/// rest range into the shared slot array) and a raw slot span.
-struct PackedKernels {
-  const char* name;
-  /// True iff any slot of `r` — inlined or in `slot_base[rest_begin,
-  /// slot_end)` — conflicts with the dense planes.
-  bool (*record_conflict)(const PackedSweepIndex::Record& r,
-                          const PackedSlot* slot_base,
-                          const PlaneWord* planes);
-  /// True iff any slot in [s, end) conflicts with the dense planes.
-  bool (*slots_conflict)(const PackedSlot* s, const PackedSlot* end,
-                         const PlaneWord* planes);
-};
-
-/// The portable kernel set (always compiled).
-[[nodiscard]] const PackedKernels& packed_scalar_kernels();
-/// The kernel set the running CPU dispatches to.
-[[nodiscard]] const PackedKernels& packed_active_kernels();
-/// Every kernel set this build + CPU supports, scalar first, the active
-/// (widest) set last. Tests sweep this to assert the kernels agree
-/// bit-for-bit on randomized layouts.
-[[nodiscard]] std::span<const PackedKernels> packed_all_kernels();
-
-#if defined(SITAM_SIMD_AVX2)
-/// AVX2 kernel entry points (packed_kernels_avx2.cpp, built with -mavx2).
-/// Call only when __builtin_cpu_supports("avx2") — the dispatcher's job.
-[[nodiscard]] bool packed_avx2_record_conflict(
-    const PackedSweepIndex::Record& r, const PackedSlot* slot_base,
-    const PlaneWord* planes);
-[[nodiscard]] bool packed_avx2_slots_conflict(const PackedSlot* s,
-                                              const PackedSlot* end,
-                                              const PlaneWord* planes);
-#endif
-#if defined(SITAM_SIMD_NEON)
-/// NEON kernel entry points (packed_kernels_neon.cpp).
-[[nodiscard]] bool packed_neon_record_conflict(
-    const PackedSweepIndex::Record& r, const PackedSlot* slot_base,
-    const PlaneWord* planes);
-[[nodiscard]] bool packed_neon_slots_conflict(const PackedSlot* s,
-                                              const PackedSlot* end,
-                                              const PlaneWord* planes);
-#endif
-
-/// Scalar slot-span probe — the conflict formula over each word-compressed
-/// slot against the dense planes. Inline so SITAM_SIMD=OFF builds fold it
-/// straight into the sweep loops.
-[[nodiscard]] inline bool packed_scalar_slots_conflict(
-    const PackedSlot* s, const PackedSlot* end, const PlaneWord* planes) {
-  for (; s != end; ++s) {
-    const PlaneWord& p = planes[s->word];
-    if ((s->care & p.care &
-         ((s->value ^ p.value) | (s->active ^ p.active))) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Scalar sweep-record probe: the two branch-free inlined slot pairs, then
-/// the rest-of-slots walk. A missing inlined slot carries care 0 and word
-/// 0, which reads planes[0] (always allocated) and conflicts never.
-[[nodiscard]] inline bool packed_scalar_record_conflict(
-    const PackedSweepIndex::Record& r, const PackedSlot* slot_base,
-    const PlaneWord* planes) {
-  const PlaneWord& p0 = planes[r.word[0]];
-  const PlaneWord& p1 = planes[r.word[1]];
-  if (((r.care0 & p0.care & ((r.value0 ^ p0.value) | (r.active0 ^ p0.active))) |
-       (r.care1 & p1.care &
-        ((r.value1 ^ p1.value) | (r.active1 ^ p1.active)))) != 0) {
-    return true;
-  }
-  const PlaneWord& p2 = planes[r.word[2]];
-  const PlaneWord& p3 = planes[r.word[3]];
-  if (((r.care2 & p2.care & ((r.value2 ^ p2.value) | (r.active2 ^ p2.active))) |
-       (r.care3 & p3.care &
-        ((r.value3 ^ p3.value) | (r.active3 ^ p3.active)))) != 0) {
-    return true;
-  }
-  return packed_scalar_slots_conflict(slot_base + r.rest_begin,
-                                      slot_base + r.slot_end, planes);
-}
-
-/// Dense bit-planes for one growing compacted pattern (or one first-fit
-/// class). reset() is O(planes) — a few hundred bytes — while the bus
-/// driver table is epoch-stamped so per-line driver ids never need
-/// clearing across the thousands of sweep rounds.
-///
-/// fits() is const and touches no mutable state, so any number of threads
-/// may probe one accumulator concurrently between mutations — that is the
-/// contract the deterministic parallel sweep in compaction.cpp relies on.
+/// Dense bit-planes for one merged pattern — the covering side of
+/// first_uncovered(). reset() is O(planes), while the bus driver table is
+/// epoch-stamped so per-line driver ids never need clearing.
 class PackedAccumulator {
  public:
-  /// Probes dispatch through packed_active_kernels().
   explicit PackedAccumulator(PackedLayout layout);
-  /// Probes dispatch through `kernels` — the packed_kernels_test seam that
-  /// pins one kernel set regardless of the running CPU. `kernels` must
-  /// outlive the accumulator (the packed_all_kernels() entries do).
-  PackedAccumulator(PackedLayout layout, const PackedKernels& kernels);
 
   /// Starts a fresh compacted pattern.
   void reset();
@@ -378,12 +182,6 @@ class PackedAccumulator {
   /// True iff member `i` of `set` can merge into the accumulated pattern.
   /// Precondition (checked in debug builds): set.layout() == layout().
   [[nodiscard]] bool fits(const PackedPatternSet& set, std::size_t i) const;
-
-  /// Same decision as fits(set, i) via the sweep index's inlined records —
-  /// the greedy sweep's hot path. Defined inline below so it folds into
-  /// the sweep loop; the out-of-line bus tail handles the rare overlap.
-  /// Precondition as above for index.set().
-  [[nodiscard]] bool fits(const PackedSweepIndex& index, std::size_t i) const;
 
   /// Merges member `i` in. Precondition: fits(set, i).
   void absorb(const PackedPatternSet& set, std::size_t i);
@@ -405,18 +203,8 @@ class PackedAccumulator {
   [[nodiscard]] SiPattern to_pattern() const;
 
  private:
-  /// Shared bus tail of both fits() overloads.
-  [[nodiscard]] bool fits_bus(const PackedPatternSet& set, std::size_t i,
-                              std::uint64_t bus_word0,
-                              std::int32_t uniform_driver) const;
-
   PackedLayout layout_;
-  // Kernel set the probes dispatch through (SITAM_SIMD builds only; OFF
-  // builds call the inline scalar kernels directly and never read this).
-  const PackedKernels* kernels_;
-  // Interleaved planes (at least one word, so inlined probes of an empty
-  // slot — care 0, word 0 — stay in bounds without a branch).
-  std::vector<PlaneWord> planes_;
+  std::vector<PlaneWord> planes_;          // interleaved, one per word
   std::uint64_t summary_ = 0;
   std::uint64_t bus0_ = 0;                 // mirror of bus_mask_[0] (hot path)
   std::vector<std::uint64_t> bus_mask_;
@@ -425,22 +213,5 @@ class PackedAccumulator {
   std::uint32_t epoch_ = 1;
   std::int32_t driver_state_ = kNoBusDriver;  // uniform-driver fast path
 };
-
-inline bool PackedAccumulator::fits(const PackedSweepIndex& index,
-                                    std::size_t i) const {
-  SITAM_DCHECK(index.set().layout() == layout_);
-  const PackedSweepIndex::Record& r = index.record(i);
-  const PackedPatternSet& set = index.set();
-#if SITAM_PACKED_KERNEL_DISPATCH
-  if (kernels_->record_conflict(r, set.slot_data(), planes_.data())) {
-    return false;
-  }
-#else
-  if (packed_scalar_record_conflict(r, set.slot_data(), planes_.data())) {
-    return false;
-  }
-#endif
-  return fits_bus(set, i, r.bus_word0, r.uniform_driver);
-}
 
 }  // namespace sitam

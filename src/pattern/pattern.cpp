@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace sitam {
 
@@ -47,6 +48,32 @@ void SiPattern::set_bus(int line, int driver_core) {
     return;
   }
   bus_bits_.insert(it, BusBit{line, driver_core});
+}
+
+SiPattern SiPattern::from_sorted(
+    std::vector<std::pair<int, SigValue>> assignments,
+    std::vector<BusBit> bus_bits) {
+  int previous = -1;
+  for (const auto& [terminal, value] : assignments) {
+    if (terminal <= previous || value == SigValue::kDontCare) {
+      throw std::invalid_argument(
+          "SiPattern::from_sorted: assignments not strictly ascending "
+          "care values");
+    }
+    previous = terminal;
+  }
+  previous = -1;
+  for (const BusBit& bit : bus_bits) {
+    if (bit.line <= previous) {
+      throw std::invalid_argument(
+          "SiPattern::from_sorted: bus lines not strictly ascending");
+    }
+    previous = bit.line;
+  }
+  SiPattern p;
+  p.assignments_ = std::move(assignments);
+  p.bus_bits_ = std::move(bus_bits);
+  return p;
 }
 
 std::vector<int> SiPattern::care_cores(const TerminalSpace& terminals) const {

@@ -45,6 +45,15 @@ class SiPattern {
   /// throws std::logic_error (a single pattern has one driver per line).
   void set_bus(int line, int driver_core);
 
+  /// Builds a pattern from lists already in canonical form: assignments
+  /// strictly ascending by terminal, non-negative and never kDontCare; bus
+  /// bits strictly ascending by non-negative line. O(size) — the bulk
+  /// counterpart of set()/set_bus() for producers that emit in order.
+  /// Throws std::invalid_argument for lists outside that form.
+  [[nodiscard]] static SiPattern from_sorted(
+      std::vector<std::pair<int, SigValue>> assignments,
+      std::vector<BusBit> bus_bits);
+
   [[nodiscard]] std::span<const std::pair<int, SigValue>> assignments()
       const {
     return assignments_;

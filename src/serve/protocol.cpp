@@ -102,14 +102,8 @@ const char* op_name(RequestOp op) {
   return "?";
 }
 
-}  // namespace
-
-Request parse_request(const std::string& line) {
-  const JsonValue root = parse_json(line);
-  if (!root.is_object()) {
-    throw std::invalid_argument("request must be a JSON object");
-  }
-
+/// Schema pass over a parsed object root; throws std::invalid_argument.
+Request parse_fields(const JsonValue& root) {
   Request request;
   bool saw_op = false;
   for (const JsonValue::Member& member : root.as_object()) {
@@ -131,10 +125,11 @@ Request parse_request(const std::string& line) {
       }
       request.pattern_count = value.as_int();
     } else if (field == "seed") {
-      if (!value.is_integer()) {
-        throw std::invalid_argument("field 'seed' must be an integer");
+      if (!value.is_uint64()) {
+        throw std::invalid_argument(
+            "field 'seed' must be an integer in [0, 2^64)");
       }
-      request.seed = static_cast<std::uint64_t>(value.as_int());
+      request.seed = value.as_uint64();
     } else if (field == "parts") {
       request.groupings = int_list_field(value, field);
     } else if (field == "widths") {
@@ -187,6 +182,26 @@ Request parse_request(const std::string& line) {
                                 std::to_string(kMaxIdLength) + " bytes");
   }
   return request;
+}
+
+}  // namespace
+
+Request parse_request(const std::string& line) {
+  const JsonValue root = parse_json(line);
+  if (!root.is_object()) {
+    throw RequestError("", "request must be a JSON object");
+  }
+  std::string id;
+  const JsonValue* id_field = root.find("id");
+  if (id_field != nullptr && id_field->is_string() &&
+      id_field->as_string().size() <= kMaxIdLength) {
+    id = id_field->as_string();
+  }
+  try {
+    return parse_fields(root);
+  } catch (const std::invalid_argument& err) {
+    throw RequestError(std::move(id), err.what());
+  }
 }
 
 std::string error_response(const std::string& id,

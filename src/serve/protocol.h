@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/context.h"
@@ -58,10 +60,26 @@ struct Request {
   bool trace = false;
 };
 
+/// A schema violation in a request line. id() is the line's "id" member
+/// whenever it parsed as a string within the id length bound — whatever
+/// field broke the schema — so the error line can name the job; empty
+/// otherwise.
+class RequestError : public std::invalid_argument {
+ public:
+  RequestError(std::string id, const std::string& message)
+      : std::invalid_argument(message), id_(std::move(id)) {}
+
+  [[nodiscard]] const std::string& id() const noexcept { return id_; }
+
+ private:
+  std::string id_;
+};
+
 /// Parses one request line. Throws JsonParseError for malformed JSON
 /// (including duplicate keys, bad UTF-8, over-deep nesting) and
-/// std::invalid_argument for schema violations: non-object root, unknown
-/// fields, missing/oversized ids, bad enum strings, non-positive widths.
+/// RequestError for schema violations: non-object root, unknown fields,
+/// missing/oversized ids, bad enum strings, non-positive widths, seeds
+/// that are not integers in [0, 2^64).
 [[nodiscard]] Request parse_request(const std::string& line);
 
 // ---- Response envelopes (single-line JSON, no trailing newline) --------

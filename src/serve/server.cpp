@@ -79,16 +79,21 @@ bool JobServer::submit_line(const std::string& line) {
     if (!accepting_) return false;
   }
 
-  Request request;
-  try {
-    request = parse_request(line);
-  } catch (const std::exception& err) {
+  const auto reject = [this](const std::string& id, const char* message) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.malformed;
     }
-    emit(error_response("", err.what()));
+    emit(error_response(id, message));
     return true;
+  };
+  Request request;
+  try {
+    request = parse_request(line);
+  } catch (const RequestError& err) {
+    return reject(err.id(), err.what());
+  } catch (const std::exception& err) {
+    return reject("", err.what());
   }
 
   switch (request.op) {

@@ -51,8 +51,7 @@ struct GroupingConfig {
   PartitionConfig partition;  ///< Partitioner knobs (seeded, deterministic).
   int bus_width = 32;         ///< Bus postfix width (accumulator sizing).
   /// Vertical-compaction knobs, forwarded to compact_greedy for every
-  /// bucket. The deterministic parallel sweep keeps the output identical
-  /// for any thread count, so this only changes wall-clock time.
+  /// bucket (output-neutral; see CompactionConfig).
   CompactionConfig compaction;
 };
 

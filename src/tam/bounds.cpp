@@ -31,18 +31,22 @@ LowerBounds lower_bounds(const Soc& soc, const TestTimeTable& table,
   }
   bounds.t_in = std::max(bounds.t_in, (volume + w_max - 1) / w_max);
 
-  // SI: (a) per group, the best case is one full-width rail hosting
-  // exactly the group's cores; (b) the groups' boundary bit volume must
-  // flow through W wires.
+  // SI: (a) per group, the bottleneck rail's shift. Every core shifts at
+  // most W wide, so some rail needs at least max_c ceil(woc_c / W) cycles;
+  // and the rails together are at most W wide while each must shift its
+  // cores' whole boundary, so some rail needs at least
+  // ceil(group_woc / W). (b) The groups' boundary bit volume must flow
+  // through W wires.
   std::int64_t si_bits = 0;
   for (const SiTestGroup& group : tests.groups) {
     if (group.patterns <= 0) continue;
     std::int64_t best_shift = 0;
     std::int64_t group_woc = 0;
     for (const int core : group.cores) {
-      best_shift += table.woc_shift(core, w_max);
+      best_shift = std::max(best_shift, table.woc_shift(core, w_max));
       group_woc += soc.modules[static_cast<std::size_t>(core)].woc();
     }
+    best_shift = std::max(best_shift, (group_woc + w_max - 1) / w_max);
     const std::int64_t best_case =
         (group.patterns + 1) * best_shift + kSiApplyCycles * group.patterns;
     bounds.t_si = std::max(bounds.t_si, best_case);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.h"
 
@@ -114,6 +115,15 @@ JsonWriter& JsonWriter::value(std::string_view text) {
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
+  before_value(false);
+  out_ += std::to_string(number);
+  expecting_value_ = false;
+  needs_comma_ = true;
+  if (scopes_.empty()) done_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::uint64_t number) {
   before_value(false);
   out_ += std::to_string(number);
   expecting_value_ = false;
@@ -473,6 +483,16 @@ class JsonParser {
       while (!at_end() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
     const std::string token(text_.substr(start, pos_ - start));
+    if (integral && token[0] != '-') {
+      errno = 0;
+      char* end = nullptr;
+      const unsigned long long parsed =
+          std::strtoull(token.c_str(), &end, 10);
+      if (errno == ERANGE || end != token.c_str() + token.size()) {
+        fail("integer out of range");
+      }
+      return JsonValue::make_uint64(static_cast<std::uint64_t>(parsed));
+    }
     if (integral) {
       errno = 0;
       char* end = nullptr;
@@ -507,9 +527,15 @@ std::int64_t JsonValue::as_int() const {
   return int_;
 }
 
+std::uint64_t JsonValue::as_uint64() const {
+  if (!is_uint64()) kind_error("a non-negative integer");
+  return integer_ ? static_cast<std::uint64_t>(int_) : uint_;
+}
+
 double JsonValue::as_double() const {
   if (kind_ != Kind::kNumber) kind_error("a number");
-  return integer_ ? static_cast<double>(int_) : number_;
+  if (integer_) return static_cast<double>(int_);
+  return big_unsigned_ ? static_cast<double>(uint_) : number_;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -546,6 +572,18 @@ JsonValue JsonValue::make_integer(std::int64_t number) {
   v.kind_ = Kind::kNumber;
   v.integer_ = true;
   v.int_ = number;
+  return v;
+}
+
+JsonValue JsonValue::make_uint64(std::uint64_t number) {
+  if (number <= static_cast<std::uint64_t>(
+                    std::numeric_limits<std::int64_t>::max())) {
+    return make_integer(static_cast<std::int64_t>(number));
+  }
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.big_unsigned_ = true;
+  v.uint_ = number;
   return v;
 }
 
@@ -590,6 +628,8 @@ void dump_value(const JsonValue& value, JsonWriter& json) {
     case JsonValue::Kind::kNumber:
       if (value.is_integer()) {
         json.value(value.as_int());
+      } else if (value.is_uint64()) {
+        json.value(value.as_uint64());
       } else {
         json.value(value.as_double());
       }

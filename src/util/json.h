@@ -38,6 +38,7 @@ class JsonWriter {
   JsonWriter& value(std::string_view text);
   JsonWriter& value(const char* text) { return value(std::string_view(text)); }
   JsonWriter& value(std::int64_t number);
+  JsonWriter& value(std::uint64_t number);
   JsonWriter& value(int number) { return value(std::int64_t{number}); }
   JsonWriter& value(double number);
   JsonWriter& value(bool flag);
@@ -107,6 +108,12 @@ class JsonValue {
   [[nodiscard]] bool is_integer() const {
     return kind_ == Kind::kNumber && integer_;
   }
+  /// True for non-negative integers written without fraction/exponent
+  /// that fit uint64 — the non-negative is_integer() values plus
+  /// 2^63 .. 2^64-1.
+  [[nodiscard]] bool is_uint64() const {
+    return kind_ == Kind::kNumber && (integer_ ? int_ >= 0 : big_unsigned_);
+  }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
@@ -115,6 +122,7 @@ class JsonValue {
   /// mismatch so protocol code can funnel schema errors through one path.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_int() const;
+  [[nodiscard]] std::uint64_t as_uint64() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
@@ -128,6 +136,8 @@ class JsonValue {
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool flag);
   static JsonValue make_integer(std::int64_t number);
+  /// An integer in int64 range becomes make_integer(number).
+  static JsonValue make_uint64(std::uint64_t number);
   static JsonValue make_double(double number);
   static JsonValue make_string(std::string text);
   static JsonValue make_array(std::vector<JsonValue> items);
@@ -141,7 +151,9 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool flag_ = false;
   bool integer_ = false;
+  bool big_unsigned_ = false;  // integer above INT64_MAX, held in uint_
   std::int64_t int_ = 0;
+  std::uint64_t uint_ = 0;
   double number_ = 0.0;
   std::string text_;
   // unique_ptr keeps the recursive value type movable and its empty

@@ -138,6 +138,20 @@ TEST(JsonParser, IsIntegerTracksLexicalForm) {
   EXPECT_THROW((void)parse_json("99999999999999999999"), JsonParseError);
 }
 
+TEST(JsonParser, NonNegativeIntegersSpanUint64) {
+  const JsonValue top = parse_json("18446744073709551615");  // 2^64 - 1
+  EXPECT_FALSE(top.is_integer());
+  ASSERT_TRUE(top.is_uint64());
+  EXPECT_EQ(top.as_uint64(), ~std::uint64_t{0});
+  EXPECT_EQ(top.dump(), "18446744073709551615");
+  EXPECT_TRUE(parse_json("7").is_uint64());
+  EXPECT_EQ(parse_json("7").as_uint64(), 7u);
+  EXPECT_FALSE(parse_json("-7").is_uint64());
+  EXPECT_FALSE(parse_json("7.5").is_uint64());
+  EXPECT_THROW((void)parse_json("-7").as_uint64(), JsonParseError);
+  EXPECT_THROW((void)parse_json("18446744073709551616"), JsonParseError);
+}
+
 TEST(JsonParser, DecodesEscapesAndSurrogatePairs) {
   // The escapes decode to 'A', e-acute and U+1F600 (a surrogate pair);
   // the tail repeats e-acute and U+1F600 as raw UTF-8 passthrough.

@@ -1,8 +1,7 @@
 // Tests for the packed bit-plane pattern representation (pattern/packed.h):
 // plane encoding round-trips, word-parallel compatibility vs the sparse
 // SiPattern::compatible oracle on randomized pairs, accumulator fits/absorb/
-// contains semantics (including the sweep-index fast path and the bus
-// driver disambiguation), summary folding beyond 64 care words, and input
+// contains semantics (including the bus driver disambiguation), summary folding beyond 64 care words, and input
 // validation.
 #include <gtest/gtest.h>
 
@@ -115,17 +114,15 @@ TEST(PackedAccumulator, FitsMatchesSparseOracleUnderAccumulation) {
     patterns.push_back(random_pattern(rng, kTerminals, kBusWidth));
   }
   const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
 
   // Greedily accumulate into one pattern both sparsely and packed; every
-  // fits() decision (both overloads) must match the sparse try_absorb.
+  // fits() decision must match the sparse try_absorb.
   PackedAccumulator acc(layout);
   acc.absorb(set, 0);
   SiPattern sparse = patterns[0];
   for (std::size_t i = 1; i < patterns.size(); ++i) {
     const bool expected = SiPattern::compatible(sparse, patterns[i]);
     ASSERT_EQ(acc.fits(set, i), expected) << "pattern " << i;
-    ASSERT_EQ(acc.fits(index, i), expected) << "pattern " << i;
     if (expected) {
       ASSERT_TRUE(sparse.try_absorb(patterns[i]));
       acc.absorb(set, i);
@@ -144,7 +141,6 @@ TEST(PackedAccumulator, BusDriverDisambiguation) {
       make({{4, SigValue::kRise}}, {{2, 3}, {5, 1}}),  // mixed drivers
   };
   const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
   EXPECT_EQ(set.uniform_driver(0), 1);
   EXPECT_EQ(set.uniform_driver(4), kMixedBusDrivers);
 
@@ -154,9 +150,6 @@ TEST(PackedAccumulator, BusDriverDisambiguation) {
   EXPECT_FALSE(acc.fits(set, 2));  // same line, different driver
   EXPECT_TRUE(acc.fits(set, 3));   // no shared line
   EXPECT_FALSE(acc.fits(set, 4));  // mixed: line 2 collides on driver
-  for (std::size_t i = 1; i < patterns.size(); ++i) {
-    EXPECT_EQ(acc.fits(index, i), acc.fits(set, i)) << "pattern " << i;
-  }
 
   // After a reset the epoch-stamped driver table must forget line 2.
   acc.reset();
@@ -207,29 +200,8 @@ TEST(PackedPatternSet, SummaryFoldIsConservativeBeyond64Words) {
   EXPECT_FALSE(set.compatible(0, 2));
   PackedAccumulator acc(layout);
   acc.absorb(set, 0);
-  const PackedSweepIndex index(set);
   EXPECT_TRUE(acc.fits(set, 1));
-  EXPECT_TRUE(acc.fits(index, 1));
   EXPECT_FALSE(acc.fits(set, 2));
-  EXPECT_FALSE(acc.fits(index, 2));
-}
-
-TEST(PackedSweepIndex, InlinesAtMostFourSlotsAndWalksTheRest) {
-  // Six care words: slots 4-5 stay out of line; fits() must still see them.
-  const PackedLayout layout{64 * 6, 4};
-  SiPattern dense;
-  for (int w = 0; w < 6; ++w) dense.set(64 * w, SigValue::kStable1);
-  const std::vector<SiPattern> patterns = {
-      dense,
-      make({{64 * 5, SigValue::kStable0}}),  // conflicts only in word 5
-  };
-  const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
-  EXPECT_EQ(index.record(0).rest_begin + 2, index.record(0).slot_end);
-  PackedAccumulator acc(layout);
-  acc.absorb(set, 0);
-  EXPECT_FALSE(acc.fits(set, 1));
-  EXPECT_FALSE(acc.fits(index, 1));
 }
 
 TEST(PackedPatternSet, ValidatesIdsAgainstLayout) {
@@ -248,10 +220,8 @@ TEST(PackedAccumulator, EmptyLayoutAndEmptyPatternAreSafe) {
   const PackedLayout layout{0, 0};
   const std::vector<SiPattern> patterns = {SiPattern{}};
   const PackedPatternSet set(patterns, layout);
-  const PackedSweepIndex index(set);
   PackedAccumulator acc(layout);
   EXPECT_TRUE(acc.fits(set, 0));
-  EXPECT_TRUE(acc.fits(index, 0));
   acc.absorb(set, 0);
   EXPECT_TRUE(acc.contains(set, 0));
   EXPECT_TRUE(acc.to_pattern().empty());

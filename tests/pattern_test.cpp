@@ -78,6 +78,34 @@ TEST(SiPattern, AssignmentsStaySorted) {
   EXPECT_EQ(a[2].first, 9);
 }
 
+TEST(SiPattern, FromSortedMatchesIncrementalBuild) {
+  SiPattern built;
+  built.set(2, SigValue::kRise);
+  built.set(7, SigValue::kStable0);
+  built.set_bus(1, 3);
+  built.set_bus(4, 0);
+  EXPECT_EQ(SiPattern::from_sorted({{2, SigValue::kRise},
+                                    {7, SigValue::kStable0}},
+                                   {{1, 3}, {4, 0}}),
+            built);
+  EXPECT_TRUE(SiPattern::from_sorted({}, {}).empty());
+  // Out-of-order, duplicate, negative or don't-care entries are rejected.
+  EXPECT_THROW((void)SiPattern::from_sorted(
+                   {{7, SigValue::kRise}, {2, SigValue::kRise}}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SiPattern::from_sorted(
+                   {{2, SigValue::kRise}, {2, SigValue::kRise}}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SiPattern::from_sorted({{-1, SigValue::kRise}}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SiPattern::from_sorted({{0, SigValue::kDontCare}}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SiPattern::from_sorted({}, {{3, 0}, {3, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SiPattern::from_sorted({}, {{-2, 0}}),
+               std::invalid_argument);
+}
+
 TEST(SiPattern, NegativeTerminalThrows) {
   SiPattern p;
   EXPECT_THROW(p.set(-1, SigValue::kRise), std::invalid_argument);

@@ -48,6 +48,11 @@ TEST_P(PipelinePropertyTest, FullPipelineInvariants) {
   const auto compacted =
       compact_greedy(patterns, ts.total(), pattern_config.bus_width);
   ASSERT_EQ(first_uncovered(patterns, compacted.patterns), -1);
+  // The first-fit engine reproduces the paper's sweep on unseen SOCs too.
+  EXPECT_EQ(compacted.patterns,
+            compact_greedy_reference(patterns, ts.total(),
+                                     pattern_config.bus_width)
+                .patterns);
 
   // Grouping: raw pattern conservation, core partition.
   const SiTestSet tests =

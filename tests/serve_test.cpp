@@ -206,6 +206,65 @@ TEST(JobServer, ControlPlaneAndErrorEnvelopes) {
   EXPECT_TRUE(saw_bye);
 }
 
+TEST(Protocol, SeedSpansTheFullUint64Range) {
+  // Request::seed and the CLI take any uint64; so does the wire format.
+  EXPECT_EQ(serve::parse_request(
+                R"({"op":"optimize","id":"a","seed":9223372036854775808})")
+                .seed,
+            std::uint64_t{1} << 63);
+  EXPECT_EQ(serve::parse_request(
+                R"({"op":"optimize","id":"a","seed":18446744073709551615})")
+                .seed,
+            ~std::uint64_t{0});
+  EXPECT_EQ(serve::parse_request(R"({"op":"optimize","id":"a","seed":0})")
+                .seed,
+            0u);
+  for (const char* bad : {R"({"op":"optimize","id":"a","seed":-1})",
+                          R"({"op":"optimize","id":"a","seed":1.5})",
+                          R"({"op":"optimize","id":"a","seed":"7"})"}) {
+    EXPECT_THROW((void)serve::parse_request(bad), serve::RequestError)
+        << bad;
+  }
+  // Beyond 2^64 - 1 the JSON number itself is out of range.
+  EXPECT_THROW((void)serve::parse_request(
+                   R"({"op":"optimize","id":"a","seed":18446744073709551616})"),
+               JsonParseError);
+}
+
+TEST(Protocol, SchemaErrorsCarryTheRequestId) {
+  // The id is reported whatever field broke the schema, even one that
+  // precedes "id" on the line.
+  try {
+    (void)serve::parse_request(R"({"op":"optimize","seed":-3,"id":"j7"})");
+    FAIL() << "negative seed accepted";
+  } catch (const serve::RequestError& err) {
+    EXPECT_EQ(err.id(), "j7");
+  }
+  try {
+    (void)serve::parse_request(R"({"op":"optimize","bogus":1})");
+    FAIL() << "unknown field accepted";
+  } catch (const serve::RequestError& err) {
+    EXPECT_EQ(err.id(), "");
+  }
+
+  Recorder recorder;
+  serve::ServerOptions options;
+  options.threads = 1;
+  serve::JobServer server(options, std::ref(recorder));
+  EXPECT_TRUE(
+      server.submit_line(R"({"op":"sweep","id":"j8","widths":[0]})"));
+  EXPECT_TRUE(server.submit_line(R"({"op":"sweep","id":"j9",)"));
+  server.drain();
+  const std::vector<std::string> lines = recorder.lines();
+  ASSERT_EQ(lines.size(), 2u);
+  const JsonValue schema = parse_json(lines[0]);
+  EXPECT_EQ(schema.find("type")->as_string(), "error");
+  ASSERT_NE(schema.find("id"), nullptr);
+  EXPECT_EQ(schema.find("id")->as_string(), "j8");
+  // Malformed JSON has no parsed id to report.
+  EXPECT_EQ(parse_json(lines[1]).find("id"), nullptr);
+}
+
 TEST(JobServer, ServeStreamSpeaksTheProtocolEndToEnd) {
   std::istringstream in(
       R"({"op":"ping"})"

@@ -145,6 +145,37 @@ TEST(Bounds, HoldOnLargeBenchmarks) {
   }
 }
 
+TEST(Bounds, SiBoundHoldsWhenAGroupSpreadsOverRails) {
+  // mini5 boundaries (woc) are 10, 8, 12, 14, 6: 50 bits. At W = 8 one
+  // full-width rail shifts the whole group in 2+1+2+2+1 = 8 cycles, but
+  // three parallel rails {delta|w=2} {beta,gamma|w=3} {alpha,epsilon|w=3}
+  // need only max(7, 3+4, 4+2) = 7 = ceil(50 / 8). A bound that charges
+  // the one-rail shift overshoots this architecture.
+  const Soc soc = load_benchmark("mini5");
+  constexpr int kW = 8;
+  constexpr std::int64_t kPatterns = 100;
+  const TestTimeTable table(soc, kW);
+  SiTestSet tests;
+  tests.groups = {group("all", {0, 1, 2, 3, 4}, kPatterns)};
+  std::int64_t one_rail_shift = 0;
+  for (int c = 0; c < soc.core_count(); ++c) {
+    one_rail_shift += table.woc_shift(c, kW);
+  }
+  const std::int64_t one_rail =
+      (kPatterns + 1) * one_rail_shift + kSiApplyCycles * kPatterns;
+
+  TamArchitecture arch;
+  arch.rails = {TestRail{{3}, 2, -1}, TestRail{{1, 2}, 3, -1},
+                TestRail{{0, 4}, 3, -1}};
+  arch.validate(soc.core_count());
+  const Evaluation spread = TamEvaluator(soc, table, tests).evaluate(arch);
+  EXPECT_LT(spread.t_si, one_rail);
+
+  const LowerBounds bounds = lower_bounds(soc, table, tests, kW);
+  EXPECT_LE(bounds.t_si, spread.t_si);
+  EXPECT_LE(bounds.t_soc(), spread.t_soc);
+}
+
 TEST(Bounds, WiderTamLowersBounds) {
   const Soc soc = load_benchmark("p93791");
   const TestTimeTable t8(soc, 8);

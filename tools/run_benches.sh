@@ -4,7 +4,7 @@
 # someone can check out:
 #
 #   BENCH_delta.json       — bench/delta_eval_study (p93791 delta vs memo)
-#   BENCH_compaction.json  — bench/compaction_study (packed vs sparse sweep)
+#   BENCH_compaction.json  — bench/compaction_study (first-fit engine vs sparse sweep)
 #   BENCH_parallel.json    — bench/micro_benchmarks parallel report
 #
 # The manifests inside the artifacts bake `git describe --always --dirty`
