@@ -12,6 +12,16 @@
 
 namespace sitam {
 
+EvaluatorStats total_stats(const FlowResult& result) {
+  if (result.mode == FlowMode::kOptimize) return result.optimize.stats;
+  EvaluatorStats total;
+  for (const ExperimentOutcome& row : result.sweep.rows) {
+    total += row.baseline_stats;
+    for (const OptimizeResult& r : row.per_grouping) total += r.stats;
+  }
+  return total;
+}
+
 SitamContext::SitamContext() : SitamContext(Options{}) {}
 
 SitamContext::SitamContext(Options options)

@@ -83,6 +83,13 @@ struct FlowResult {
   SweepResult sweep;           ///< One ExperimentOutcome row per width.
 };
 
+/// Every evaluation the flow made for `result`: the optimization's stats
+/// for kOptimize; for kSweep each row's baseline_stats plus every
+/// per-grouping optimization's stats. The evaluator counters
+/// (tam.evaluator.*) of a traced run record the same totals; the CLI and
+/// the job server print this one sum.
+[[nodiscard]] EvaluatorStats total_stats(const FlowResult& result);
+
 /// Monotonic counters proving (or disproving) cache reuse; readable at any
 /// time via SitamContext::stats(). hits + misses == lookups per tier.
 struct ContextStats {

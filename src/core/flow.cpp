@@ -45,7 +45,14 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
   GroupingConfig grouping = config.grouping;
   grouping.bus_width = std::max(grouping.bus_width, config.patterns.bus_width);
   grouping.partition.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
+  // The token reaches the partitioner and the compaction engine; like
+  // OptimizerConfig::cancel it is control flow, outside every hash.
+  grouping.partition.cancel = cancel;
+  grouping.compaction.cancel = cancel;
 
+  // Care sets and the core hypergraph once, before the groupings fan out.
+  const SiTestSetBuilder builder(raw, workload.terminals_, config.groupings);
+  check_cancel(cancel);
   workload.test_sets_.reserve(config.groupings.size());
   if (config.parallel_prepare && config.groupings.size() > 1) {
     std::vector<std::future<SiTestSet>> futures;
@@ -53,7 +60,7 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
     for (const int parts : config.groupings) {
       futures.push_back(std::async(std::launch::async, [&, parts] {
         SITAM_TRACE_SPAN_ARG("flow.workload.compact", parts);
-        return build_si_test_set(raw, workload.terminals_, parts, grouping);
+        return builder.build(parts, grouping);
       }));
     }
     for (auto& future : futures) {
@@ -64,8 +71,7 @@ SiWorkload SiWorkload::prepare(const Soc& soc, const SiWorkloadConfig& config,
     for (const int parts : config.groupings) {
       check_cancel(cancel);
       SITAM_TRACE_SPAN_ARG("flow.workload.compact", parts);
-      workload.test_sets_.push_back(
-          build_si_test_set(raw, workload.terminals_, parts, grouping));
+      workload.test_sets_.push_back(builder.build(parts, grouping));
     }
   }
   for (std::size_t i = 0; i < workload.test_sets_.size(); ++i) {
@@ -141,11 +147,13 @@ ExperimentOutcome run_experiment(const SiWorkload& workload, int w_max,
     const OptimizeResult intest_only =
         optimize_tam(soc, table, kNoTests, w_max, config);
     outcome.baseline_architecture = intest_only.architecture;
+    outcome.baseline_stats = intest_only.stats;
     std::int64_t best = std::numeric_limits<std::int64_t>::max();
     for (const int parts : workload.groupings()) {
       const TamEvaluator evaluator(soc, table, workload.tests(parts));
       best = std::min(best,
                       evaluator.evaluate(outcome.baseline_architecture).t_soc);
+      outcome.baseline_stats += evaluator.stats();
     }
     outcome.t_baseline = best;
   }

@@ -39,9 +39,12 @@ class SiWorkload {
   /// Generates and compacts; the SOC is copied in.
   /// Throws std::invalid_argument on bad config (empty groupings,
   /// non-positive grouping values, negative pattern count). `cancel` is a
-  /// cooperative cancellation token checked at grouping boundaries
+  /// cooperative cancellation token checked at grouping boundaries, before
+  /// every partitioner bisection and every 1024 compaction placements
   /// (nullptr = never cancelled); a cancelled prepare unwinds with
-  /// sitam::Cancelled before any cache sees the partial workload.
+  /// sitam::Cancelled before any cache sees the partial workload. The care
+  /// sets and the core hypergraph are built once (SiTestSetBuilder) and
+  /// shared by every grouping.
   static SiWorkload prepare(const Soc& soc, const SiWorkloadConfig& config,
                             const CancelToken* cancel = nullptr);
 
@@ -81,6 +84,9 @@ struct ExperimentOutcome {
   /// tests (best grouping on that fixed architecture).
   std::int64_t t_baseline = 0;
   TamArchitecture baseline_architecture;
+  /// Evaluator counters of the baseline: the InTest-only optimization plus
+  /// scoring its architecture against every grouping.
+  EvaluatorStats baseline_stats;
   /// T_g_i per grouping (parallel to SiWorkload::groupings()).
   std::vector<OptimizeResult> per_grouping;
   std::int64_t t_min = 0;

@@ -1,7 +1,6 @@
 #include "hypergraph/hypergraph.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -20,18 +19,30 @@ std::int64_t Hypergraph::total_edge_weight() const {
 }
 
 void Hypergraph::normalize() {
-  std::map<std::vector<int>, std::int64_t> merged;
-  for (Hyperedge& e : edges) {
-    std::sort(e.pins.begin(), e.pins.end());
-    e.pins.erase(std::unique(e.pins.begin(), e.pins.end()), e.pins.end());
-    if (e.pins.empty()) continue;
-    merged[std::move(e.pins)] += e.weight;
+  std::vector<std::size_t> order;
+  order.reserve(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    std::vector<int>& pins = edges[i].pins;
+    std::sort(pins.begin(), pins.end());
+    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
+    if (!pins.empty()) order.push_back(i);
   }
-  edges.clear();
-  edges.reserve(merged.size());
-  for (auto& [pins, weight] : merged) {
-    edges.push_back(Hyperedge{pins, weight});
+  // Sort a permutation by pin list, then merge runs of equal lists: the
+  // edges come out in lexicographic pin order, which the partitioner's
+  // results depend on.
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    return edges[a].pins < edges[b].pins;
+  });
+  std::vector<Hyperedge> merged;
+  merged.reserve(order.size());
+  for (const std::size_t i : order) {
+    if (!merged.empty() && merged.back().pins == edges[i].pins) {
+      merged.back().weight += edges[i].weight;
+    } else {
+      merged.push_back(std::move(edges[i]));
+    }
   }
+  edges = std::move(merged);
 }
 
 void Hypergraph::validate() const {

@@ -28,7 +28,8 @@ struct Hypergraph {
   [[nodiscard]] std::int64_t total_edge_weight() const;
 
   /// Sorts/uniquifies pins, drops empty edges, merges duplicate pin sets
-  /// (summing weights). Call after bulk construction.
+  /// (summing weights) and leaves the edges in lexicographic pin order.
+  /// Call after bulk construction.
   void normalize();
 
   /// Throws std::invalid_argument on out-of-range pins, non-positive

@@ -34,6 +34,7 @@ struct BisectionState {
   const std::vector<std::vector<int>>* incidence = nullptr;
   std::vector<std::uint8_t> side;          // 0 or 1 per vertex
   std::vector<std::array<int, 2>> pins_on;  // per edge: pins on each side
+  std::vector<std::int64_t> gains;          // gain(v), kept by move()
   std::int64_t side_weight[2] = {0, 0};
   std::int64_t limit[2] = {0, 0};
   std::int64_t cut = 0;
@@ -58,6 +59,10 @@ struct BisectionState {
         ++pins_on[e][side[static_cast<std::size_t>(v)]];
       }
       if (pins_on[e][0] > 0 && pins_on[e][1] > 0) cut += graph.edges[e].weight;
+    }
+    gains.resize(side.size());
+    for (std::size_t v = 0; v < side.size(); ++v) {
+      gains[v] = gain(static_cast<int>(v));
     }
   }
 
@@ -95,20 +100,42 @@ struct BisectionState {
     return new_to <= limit[to];
   }
 
+  /// Moves `v` to the other side and keeps `gains` exact. An edge at `v`
+  /// with f pins on v's side and t on the other adds w to gain(u) of each
+  /// pin u by "u is its side's last pin" and takes w for "the other side
+  /// is empty". The move changes those terms only for the other pins of
+  /// edges with t <= 1 or f <= 2; v's own gain just changes sign.
   void move(int v) {
     const int from = side[static_cast<std::size_t>(v)];
     const int to = 1 - from;
     const std::int64_t w = hg->vertex_weights[static_cast<std::size_t>(v)];
     for (const int e : (*incidence)[static_cast<std::size_t>(v)]) {
       auto& counts = pins_on[static_cast<std::size_t>(e)];
-      const std::int64_t ew = hg->edges[static_cast<std::size_t>(e)].weight;
-      const bool was_cut = counts[0] > 0 && counts[1] > 0;
-      --counts[from];
-      ++counts[to];
-      const bool now_cut = counts[0] > 0 && counts[1] > 0;
+      const Hyperedge& edge = hg->edges[static_cast<std::size_t>(e)];
+      const std::int64_t ew = edge.weight;
+      const int f = counts[from];
+      const int t = counts[to];
+      if (t <= 1 || f <= 2) {
+        for (const int u : edge.pins) {
+          if (u == v) continue;
+          std::int64_t& g = gains[static_cast<std::size_t>(u)];
+          if (side[static_cast<std::size_t>(u)] == from) {
+            if (t == 0) g += ew;  // moving u no longer cuts the edge
+            if (f == 2) g += ew;  // u is now the last pin on `from`
+          } else {
+            if (t == 1) g -= ew;  // u is no longer the last pin on `to`
+            if (f == 1) g -= ew;  // moving u now cuts the edge
+          }
+        }
+      }
+      counts[from] = f - 1;
+      counts[to] = t + 1;
+      const bool was_cut = f > 0 && t > 0;
+      const bool now_cut = f > 1;
       if (was_cut && !now_cut) cut -= ew;
       if (!was_cut && now_cut) cut += ew;
     }
+    gains[static_cast<std::size_t>(v)] = -gains[static_cast<std::size_t>(v)];
     side_weight[from] -= w;
     side_weight[to] += w;
     side[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(to);
@@ -116,7 +143,9 @@ struct BisectionState {
 };
 
 /// One FM pass with rollback to the best prefix; returns true if the pass
-/// strictly improved (cut, excess) lexicographically.
+/// strictly improved (cut, excess) lexicographically. Each step moves the
+/// feasible unlocked vertex of highest gain, the lowest id among ties,
+/// reading the gains that move() keeps current.
 bool fm_pass(BisectionState& state) {
   const int n = state.hg->vertex_count();
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
@@ -134,7 +163,8 @@ bool fm_pass(BisectionState& state) {
     std::int64_t pick_gain = std::numeric_limits<std::int64_t>::min();
     for (int v = 0; v < n; ++v) {
       if (locked[static_cast<std::size_t>(v)] || !state.feasible(v)) continue;
-      const std::int64_t g = state.gain(v);
+      const std::int64_t g = state.gains[static_cast<std::size_t>(v)];
+      SITAM_DCHECK_MSG(g == state.gain(v), "cached FM gain is stale");
       if (g > pick_gain) {
         pick_gain = g;
         pick = v;
@@ -437,6 +467,7 @@ void recurse(const Hypergraph& hg, const std::vector<int>& vertex_ids, int k,
   const std::int64_t total = hg.total_vertex_weight();
   const std::int64_t target0 = total * k0 / k;
 
+  check_cancel(config.cancel);
   const BisectionResult bisection =
       multilevel_bisect(hg, target0, config, rng);
 

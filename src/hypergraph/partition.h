@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "hypergraph/hypergraph.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace sitam {
@@ -27,11 +28,16 @@ struct PartitionConfig {
   /// Coarsening stops at this many vertices.
   int coarsen_limit = 48;
   std::uint64_t seed = 0x5eedULL;
+  /// Non-owning cooperative cancellation token, checked before every
+  /// bisection (nullptr = never cancelled). Control flow, not identity: no
+  /// config or request hash includes it.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Partitions `hg` into `k` parts. Throws std::invalid_argument for k < 1 or
-/// an invalid hypergraph. For k >= vertex_count() every vertex gets its own
-/// part. Deterministic for a fixed config.
+/// an invalid hypergraph, and sitam::Cancelled once config.cancel is
+/// requested. For k >= vertex_count() every vertex gets its own part.
+/// Deterministic for a fixed config.
 [[nodiscard]] Partition partition_hypergraph(const Hypergraph& hg, int k,
                                              const PartitionConfig& config = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sitam {
 
@@ -12,6 +13,13 @@ TerminalSpace::TerminalSpace(const Soc& soc) {
     first_.push_back(first_.back() + m.woc());
   }
   total_ = first_.back();
+  core_of_.reserve(static_cast<std::size_t>(std::max(0, total_)));
+  for (std::size_t core = 0; core + 1 < first_.size(); ++core) {
+    core_of_.insert(core_of_.end(),
+                    static_cast<std::size_t>(
+                        std::max(0, first_[core + 1] - first_[core])),
+                    static_cast<int>(core));
+  }
 }
 
 int TerminalSpace::core_of(int terminal) const {
@@ -19,9 +27,7 @@ int TerminalSpace::core_of(int terminal) const {
     throw std::out_of_range("TerminalSpace::core_of: bad terminal id " +
                             std::to_string(terminal));
   }
-  // first_ is sorted; find the core whose range contains `terminal`.
-  const auto it = std::upper_bound(first_.begin(), first_.end(), terminal);
-  return static_cast<int>(std::distance(first_.begin(), it)) - 1;
+  return core_of_[static_cast<std::size_t>(terminal)];
 }
 
 int TerminalSpace::bit_of(int terminal) const {

@@ -23,8 +23,8 @@ class TerminalSpace {
     return static_cast<int>(first_.size()) - 1;
   }
 
-  /// Core (0-based index into Soc::modules) owning terminal `t`.
-  /// Throws std::out_of_range for an invalid id.
+  /// Core (0-based index into Soc::modules) owning terminal `t`, by table
+  /// lookup. Throws std::out_of_range for an invalid id.
   [[nodiscard]] int core_of(int terminal) const;
   /// Bit position of `terminal` within its core's WOC list.
   [[nodiscard]] int bit_of(int terminal) const;
@@ -39,7 +39,8 @@ class TerminalSpace {
   [[nodiscard]] int terminal(int core, int bit) const;
 
  private:
-  std::vector<int> first_;  // prefix sums; size core_count()+1
+  std::vector<int> first_;    // prefix sums; size core_count()+1
+  std::vector<int> core_of_;  // owning core per terminal; size total()
   int total_ = 0;
 };
 

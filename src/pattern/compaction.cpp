@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -121,17 +122,28 @@ class SparseAccumulator {
 /// and its first compatible class is the first zero bit — O(bits · blocks)
 /// instead of one accumulator probe per class.
 ///
-/// Construction validates every id against the declared dimensions and
-/// throws std::out_of_range (message-compatible with the sparse reference)
-/// before any placement work. The engine borrows `patterns`.
+/// The engine places patterns[order[0]], patterns[order[1]], ... and
+/// borrows both spans. Construction validates every index and every id
+/// against the declared dimensions and throws std::out_of_range
+/// (message-compatible with the sparse reference) before any placement
+/// work; only the patterns named in `order` are read.
 class FirstFitEngine {
  public:
-  FirstFitEngine(std::span<const SiPattern> patterns, int total_terminals,
+  FirstFitEngine(std::span<const SiPattern> patterns,
+                 std::span<const std::uint32_t> order, int total_terminals,
                  int bus_width)
       : patterns_(patterns),
+        order_(order),
         slot_of_(static_cast<std::size_t>(total_terminals), -1),
         line_slot_(static_cast<std::size_t>(bus_width), -1) {
-    for (const SiPattern& p : patterns) {
+    for (const std::uint32_t i : order) {
+      if (i >= patterns.size()) {
+        throw std::out_of_range("compaction: pattern index " +
+                                std::to_string(i) + " outside the " +
+                                std::to_string(patterns.size()) +
+                                " patterns");
+      }
+      const SiPattern& p = patterns[i];
       for (const auto& [terminal, value] : p.assignments()) {
         if (terminal >= total_terminals) {
           throw std::out_of_range("compaction: terminal id " +
@@ -164,10 +176,22 @@ class FirstFitEngine {
     pairs_.erase(std::unique(pairs_.begin(), pairs_.end()), pairs_.end());
   }
 
-  /// Puts pattern `i` into the first class it is compatible with, opening
-  /// a new class if there is none.
-  void place(std::size_t i) {
-    load(patterns_[i]);
+  /// Places every pattern of the order, checking `cancel` every 1024
+  /// placements.
+  void run(const CancelToken* cancel) {
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+      if (k % 1024 == 0) check_cancel(cancel);
+      place(patterns_[order_[k]]);
+    }
+  }
+
+  /// Classes opened so far: the compacted pattern count.
+  [[nodiscard]] std::size_t classes() const { return classes_; }
+
+  /// Puts `p` into the first class it is compatible with, opening a new
+  /// class if there is none.
+  void place(const SiPattern& p) {
+    load(p);
     const std::size_t terminals = terminals_.size();
     const std::size_t pairs = pairs_.size();
     for (std::size_t block = 0; block * 64 < classes_; ++block) {
@@ -301,6 +325,7 @@ class FirstFitEngine {
   }
 
   std::span<const SiPattern> patterns_;
+  std::span<const std::uint32_t> order_;
   std::vector<std::int32_t> slot_of_;    // terminal id -> dense slot
   std::vector<std::int32_t> line_slot_;  // bus line -> dense line slot
   std::vector<int> terminals_;           // dense slot -> terminal id
@@ -316,24 +341,41 @@ class FirstFitEngine {
   std::vector<std::uint64_t> driven_;    // blocks x pairs_
 };
 
-}  // namespace
+/// 0, 1, ..., n-1: compact_greedy's placement order. Pattern indices are
+/// 32-bit in the engine.
+std::vector<std::uint32_t> input_order(std::size_t n) {
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("compaction: more than 2^32 - 1 patterns");
+  }
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  return order;
+}
 
-CompactionResult compact_greedy(std::span<const SiPattern> patterns,
-                                int total_terminals, int bus_width,
-                                const CompactionConfig& config) {
+void check_dimensions(int total_terminals, int bus_width,
+                      const CompactionConfig& config) {
   if (total_terminals < 0 || bus_width < 0) {
     throw std::invalid_argument("compact_greedy: negative dimensions");
   }
   if (config.threads < 1) {
     throw std::invalid_argument("compact_greedy: threads must be >= 1");
   }
+}
+
+}  // namespace
+
+CompactionResult compact_greedy(std::span<const SiPattern> patterns,
+                                int total_terminals, int bus_width,
+                                const CompactionConfig& config) {
+  check_dimensions(total_terminals, bus_width, config);
   Stopwatch watch;
   CompactionResult result;
   result.stats.original_count = patterns.size();
 
   // Unsorted first-fit is the greedy sweep: class k is sweep round k.
-  FirstFitEngine engine(patterns, total_terminals, bus_width);
-  for (std::size_t i = 0; i < patterns.size(); ++i) engine.place(i);
+  const std::vector<std::uint32_t> order = input_order(patterns.size());
+  FirstFitEngine engine(patterns, order, total_terminals, bus_width);
+  engine.run(config.cancel);
   result.patterns = engine.materialize();
 
   result.stats.compacted_count = result.patterns.size();
@@ -343,6 +385,18 @@ CompactionResult compact_greedy(std::span<const SiPattern> patterns,
   SITAM_COUNTER("pattern.compaction.patterns_out",
                 result.stats.compacted_count);
   return result;
+}
+
+std::size_t compact_greedy_count(std::span<const SiPattern> patterns,
+                                 std::span<const std::uint32_t> indices,
+                                 int total_terminals, int bus_width,
+                                 const CompactionConfig& config) {
+  check_dimensions(total_terminals, bus_width, config);
+  FirstFitEngine engine(patterns, indices, total_terminals, bus_width);
+  engine.run(config.cancel);
+  SITAM_COUNTER("pattern.compaction.patterns_in", indices.size());
+  SITAM_COUNTER("pattern.compaction.patterns_out", engine.classes());
+  return engine.classes();
 }
 
 CompactionResult compact_greedy_reference(std::span<const SiPattern> patterns,
@@ -393,7 +447,6 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
   CompactionResult result;
   result.stats.original_count = patterns.size();
 
-  FirstFitEngine engine(patterns, total_terminals, bus_width);
   // Welsh-Powell order: densest (hardest to place) patterns first. The
   // density keys are computed once up front — not inside the comparator,
   // which would recompute them on every one of the O(n log n) comparisons.
@@ -402,13 +455,13 @@ CompactionResult compact_first_fit(std::span<const SiPattern> patterns,
     density[i] = patterns[i].care_count() +
                  static_cast<int>(patterns[i].bus_bits().size());
   }
-  std::vector<std::size_t> order(patterns.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::uint32_t> order = input_order(patterns.size());
   std::stable_sort(order.begin(), order.end(),
-                   [&density](std::size_t a, std::size_t b) {
+                   [&density](std::uint32_t a, std::uint32_t b) {
                      return density[a] > density[b];
                    });
-  for (const std::size_t i : order) engine.place(i);
+  FirstFitEngine engine(patterns, order, total_terminals, bus_width);
+  engine.run(nullptr);
   result.patterns = engine.materialize();
   result.stats.compacted_count = result.patterns.size();
   result.stats.seconds = watch.seconds();

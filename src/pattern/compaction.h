@@ -21,6 +21,11 @@
 // first zero bit — no per-class probing, no sweep rounds. Memory is
 // O(classes/64 × (touched terminals × 24 B + bus words)).
 //
+// compact_greedy_count runs the greedy order over an index subset of a
+// borrowed pattern span and returns only the class count — what the SI
+// test-set builder needs per bucket — so no pattern is copied into a
+// bucket and no compacted pattern is built.
+//
 // compact_greedy_reference is the historical sparse sweep, kept verbatim
 // as the before/after baseline for BENCH_compaction.json and as the
 // equivalence oracle in tests — compact_greedy must reproduce its output
@@ -28,10 +33,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "pattern/pattern.h"
+#include "util/cancel.h"
 
 namespace sitam {
 
@@ -60,15 +67,31 @@ struct CompactionConfig {
   /// until a shared executor (ROADMAP item 3b) gives it a meaning or it is
   /// removed.
   int threads = 1;
+  /// Non-owning cooperative cancellation token, checked every 1024
+  /// placements (nullptr = never cancelled). Control flow, not identity:
+  /// no config or request hash includes it.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Paper's greedy sweep. `total_terminals` and `bus_width` are the declared
 /// dimensions (use TerminalSpace::total() and the bus width); patterns with
 /// ids outside them throw std::out_of_range before any work is done.
-/// Throws std::invalid_argument for negative dimensions or threads < 1.
+/// Throws std::invalid_argument for negative dimensions or threads < 1, and
+/// sitam::Cancelled once config.cancel is requested.
 [[nodiscard]] CompactionResult compact_greedy(
     std::span<const SiPattern> patterns, int total_terminals, int bus_width,
     const CompactionConfig& config = {});
+
+/// Count-only compact_greedy over a subset: the number of patterns
+/// compact_greedy would return for the sequence patterns[indices[0]],
+/// patterns[indices[1]], ..., without building any of them. Throws
+/// std::out_of_range for an index >= patterns.size() and for ids outside
+/// the declared dimensions, std::invalid_argument as compact_greedy, and
+/// sitam::Cancelled once config.cancel is requested.
+[[nodiscard]] std::size_t compact_greedy_count(
+    std::span<const SiPattern> patterns,
+    std::span<const std::uint32_t> indices, int total_terminals,
+    int bus_width, const CompactionConfig& config = {});
 
 /// The historical sparse-list sweep (per-care-bit checks against an
 /// epoch-stamped dense accumulator, one round per compacted pattern).

@@ -88,6 +88,31 @@ std::vector<int> SiPattern::care_cores(const TerminalSpace& terminals) const {
   return cores;
 }
 
+CareSets::CareSets(std::span<const SiPattern> patterns,
+                   const TerminalSpace& terminals) {
+  offsets_.reserve(patterns.size() + 1);
+  offsets_.push_back(0);
+  for (const SiPattern& p : patterns) {
+    const auto first = static_cast<std::ptrdiff_t>(cores_.size());
+    // Assignments ascend by terminal, so their cores ascend too: dropping
+    // repeats of the last core leaves them sorted and unique.
+    for (const auto& [terminal, value] : p.assignments()) {
+      (void)value;
+      const int core = terminals.core_of(terminal);
+      if (cores_.size() == offsets_.back() || cores_.back() != core) {
+        cores_.push_back(core);
+      }
+    }
+    if (!p.bus_bits().empty()) {
+      for (const BusBit& bit : p.bus_bits()) cores_.push_back(bit.driver_core);
+      std::sort(cores_.begin() + first, cores_.end());
+      cores_.erase(std::unique(cores_.begin() + first, cores_.end()),
+                   cores_.end());
+    }
+    offsets_.push_back(cores_.size());
+  }
+}
+
 namespace {
 
 /// Two-pointer conflict scan over two sorted assignment lists.

@@ -13,6 +13,7 @@
 // ops instead of a sorted-list walk.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -91,6 +92,27 @@ class SiPattern {
  private:
   std::vector<std::pair<int, SigValue>> assignments_;  // sorted by terminal
   std::vector<BusBit> bus_bits_;                       // sorted by line
+};
+
+/// The care-core sets of a whole pattern set, computed in one pass into
+/// flat storage: the cores of pattern i are cores[offsets[i],
+/// offsets[i+1]), sorted and unique — exactly SiPattern::care_cores, with
+/// no allocation per pattern.
+class CareSets {
+ public:
+  /// Throws std::out_of_range for a terminal outside `terminals`.
+  CareSets(std::span<const SiPattern> patterns,
+           const TerminalSpace& terminals);
+
+  [[nodiscard]] std::size_t size() const { return offsets_.size() - 1; }
+  [[nodiscard]] std::span<const int> operator[](std::size_t i) const {
+    return std::span<const int>(cores_).subspan(
+        offsets_[i], offsets_[i + 1] - offsets_[i]);
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;  // size() + 1 entries
+  std::vector<int> cores_;
 };
 
 }  // namespace sitam

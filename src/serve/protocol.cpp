@@ -297,7 +297,7 @@ std::string result_response(const std::string& id, const Request& request,
     json.kv("w_max", std::int64_t{request.widths.front()})
         .kv("parts", std::int64_t{request.groupings.front()});
     write_architecture(json, result.optimize);
-    write_stats(json, result.optimize.stats);
+    write_stats(json, total_stats(result));
     json.kv("lower_bound", result.lower_bound)
         .kv("si_wrapper_extra_ge", result.area.si_extra_ge);
   } else {
@@ -305,7 +305,6 @@ std::string result_response(const std::string& id, const Request& request,
     for (const int w : request.widths) json.value(std::int64_t{w});
     json.end_array();
     json.key("rows").begin_array();
-    EvaluatorStats total;
     for (const ExperimentOutcome& row : result.sweep.rows) {
       json.begin_object();
       json.kv("w_max", std::int64_t{row.w_max});
@@ -313,14 +312,13 @@ std::string result_response(const std::string& id, const Request& request,
       json.key("t_g").begin_array();
       for (const OptimizeResult& r : row.per_grouping) {
         json.value(r.evaluation.t_soc);
-        total += r.stats;
       }
       json.end_array();
       json.kv("t_min", row.t_min);
       json.end_object();
     }
     json.end_array();
-    write_stats(json, total);
+    write_stats(json, total_stats(result));
   }
   json.end_object();
 

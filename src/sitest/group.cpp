@@ -4,7 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/check.h"
+#include "obs/obs.h"
 
 namespace sitam {
 
@@ -40,116 +40,169 @@ void assign_si_power(SiTestSet& set, const Soc& soc,
 
 Hypergraph build_core_hypergraph(std::span<const SiPattern> patterns,
                                  const TerminalSpace& terminals) {
+  return build_core_hypergraph(CareSets(patterns, terminals), terminals);
+}
+
+Hypergraph build_core_hypergraph(const CareSets& care,
+                                 const TerminalSpace& terminals) {
   Hypergraph hg;
   hg.vertex_weights.reserve(
       static_cast<std::size_t>(terminals.core_count()));
   for (int core = 0; core < terminals.core_count(); ++core) {
     hg.vertex_weights.push_back(terminals.woc(core));
   }
-  for (const SiPattern& p : patterns) {
-    Hyperedge edge;
-    edge.pins = p.care_cores(terminals);
-    edge.weight = 1;
-    if (!edge.pins.empty()) hg.edges.push_back(std::move(edge));
+  // Sort the patterns by care set and merge runs of equal sets: the same
+  // edges, weights and lexicographic order Hypergraph::normalize() gives,
+  // without a pin vector per pattern.
+  std::vector<std::size_t> order;
+  order.reserve(care.size());
+  for (std::size_t i = 0; i < care.size(); ++i) {
+    if (!care[i].empty()) order.push_back(i);
   }
-  hg.normalize();  // merges identical care sets, summing multiplicities
+  std::sort(order.begin(), order.end(), [&care](std::size_t a, std::size_t b) {
+    const std::span<const int> x = care[a];
+    const std::span<const int> y = care[b];
+    return std::lexicographical_compare(x.begin(), x.end(), y.begin(),
+                                        y.end());
+  });
+  for (std::size_t k = 0; k < order.size();) {
+    const std::span<const int> pins = care[order[k]];
+    std::size_t end = k + 1;
+    while (end < order.size() && std::ranges::equal(care[order[end]], pins)) {
+      ++end;
+    }
+    hg.edges.push_back(Hyperedge{std::vector<int>(pins.begin(), pins.end()),
+                                 static_cast<std::int64_t>(end - k)});
+    k = end;
+  }
   return hg;
+}
+
+SiTestSetBuilder::SiTestSetBuilder(std::span<const SiPattern> patterns,
+                                   const TerminalSpace& terminals,
+                                   std::span<const int> groupings)
+    : patterns_(patterns), terminals_(&terminals) {
+  if (std::none_of(groupings.begin(), groupings.end(),
+                   [](int parts) { return parts > 1; })) {
+    return;
+  }
+  {
+    SITAM_TRACE_SPAN_ARG("sitest.care_sets.build",
+                         static_cast<std::int64_t>(patterns.size()));
+    care_.emplace(patterns, terminals);
+  }
+  SITAM_TRACE_SPAN_ARG("sitest.hypergraph.build",
+                       static_cast<std::int64_t>(patterns.size()));
+  hypergraph_ = build_core_hypergraph(*care_, terminals);
+}
+
+SiTestSet SiTestSetBuilder::build(int parts,
+                                  const GroupingConfig& config) const {
+  if (parts < 1) {
+    throw std::invalid_argument("build_si_test_set: parts must be >= 1");
+  }
+  if (parts > 1 && !care_.has_value()) {
+    throw std::invalid_argument(
+        "SiTestSetBuilder: grouping " + std::to_string(parts) +
+        " needs a builder made for a grouping above 1");
+  }
+  const TerminalSpace& terminals = *terminals_;
+  const int cores = terminals.core_count();
+
+  SiTestSet set;
+  set.parts = parts;
+  if (patterns_.empty()) return set;
+
+  // Bucket b (b < parts: part b; b == parts: the remainder) holds the
+  // pattern indices bucket_index[bucket_start[b], bucket_start[b + 1]), in
+  // input order — the order the greedy compaction of a copied bucket saw.
+  const auto bucket_count = static_cast<std::size_t>(parts) + 1;
+  std::vector<std::uint32_t> bucket_index(patterns_.size());
+  std::vector<std::size_t> bucket_start(bucket_count + 1, 0);
+  std::vector<bool> bucket_bus(bucket_count, false);
+  std::vector<int> part_of(static_cast<std::size_t>(cores), 0);
+  if (parts == 1) {
+    // Pure vertical compaction: one bucket, every pattern, all cores.
+    std::iota(bucket_index.begin(), bucket_index.end(), std::uint32_t{0});
+    bucket_start[1] = bucket_start[2] = patterns_.size();
+    for (const SiPattern& p : patterns_) {
+      if (!p.bus_bits().empty()) bucket_bus[0] = true;
+    }
+  } else {
+    // Partition cores to minimize the (weighted) number of cross-group
+    // patterns; then bucket each pattern by the part of its care cores.
+    {
+      SITAM_TRACE_SPAN_ARG("sitest.hypergraph.partition", parts);
+      part_of = partition_hypergraph(hypergraph_, parts, config.partition)
+                    .part_of;
+    }
+    std::vector<std::uint32_t> bucket_of(patterns_.size());
+    for (std::size_t i = 0; i < patterns_.size(); ++i) {
+      const std::span<const int> care = (*care_)[i];
+      // An all-don't-care pattern belongs to no part: it goes to the
+      // remainder, where it joins the first compacted pattern.
+      std::size_t bucket = static_cast<std::size_t>(parts);
+      if (!care.empty()) {
+        const int part = part_of[static_cast<std::size_t>(care[0])];
+        const bool local = std::all_of(care.begin(), care.end(), [&](int c) {
+          return part_of[static_cast<std::size_t>(c)] == part;
+        });
+        if (local) bucket = static_cast<std::size_t>(part);
+      }
+      bucket_of[i] = static_cast<std::uint32_t>(bucket);
+      ++bucket_start[bucket + 1];
+      if (!patterns_[i].bus_bits().empty()) bucket_bus[bucket] = true;
+    }
+    std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                     bucket_start.begin());
+    std::vector<std::size_t> fill(bucket_start.begin(),
+                                  bucket_start.end() - 1);
+    for (std::size_t i = 0; i < patterns_.size(); ++i) {
+      bucket_index[fill[bucket_of[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  for (std::size_t bucket = 0; bucket < bucket_count; ++bucket) {
+    const std::span<const std::uint32_t> indices =
+        std::span<const std::uint32_t>(bucket_index)
+            .subspan(bucket_start[bucket],
+                     bucket_start[bucket + 1] - bucket_start[bucket]);
+    if (indices.empty()) continue;
+    SiTestGroup group;
+    if (bucket == static_cast<std::size_t>(parts)) {
+      group.label = "rem";
+      // Cross-group patterns load every boundary.
+      group.cores.resize(static_cast<std::size_t>(cores));
+      std::iota(group.cores.begin(), group.cores.end(), 0);
+      group.is_remainder = true;
+    } else {
+      group.label = 'g';
+      group.label += std::to_string(bucket + 1);
+      for (int core = 0; core < cores; ++core) {
+        if (part_of[static_cast<std::size_t>(core)] ==
+            static_cast<int>(bucket)) {
+          group.cores.push_back(core);
+        }
+      }
+    }
+    group.raw_patterns = static_cast<std::int64_t>(indices.size());
+    {
+      SITAM_TRACE_SPAN_ARG("sitest.bucket.compact", group.raw_patterns);
+      group.patterns = static_cast<std::int64_t>(
+          compact_greedy_count(patterns_, indices, terminals.total(),
+                               config.bus_width, config.compaction));
+    }
+    group.uses_bus = bucket_bus[bucket];
+    set.groups.push_back(std::move(group));
+  }
+  return set;
 }
 
 SiTestSet build_si_test_set(std::span<const SiPattern> patterns,
                             const TerminalSpace& terminals, int parts,
                             const GroupingConfig& config) {
-  if (parts < 1) {
-    throw std::invalid_argument("build_si_test_set: parts must be >= 1");
-  }
-  const int cores = terminals.core_count();
-  std::vector<int> all_cores(static_cast<std::size_t>(cores));
-  std::iota(all_cores.begin(), all_cores.end(), 0);
-
-  SiTestSet set;
-  set.parts = parts;
-
-  const auto compact = [&](std::span<const SiPattern> bucket) {
-    return compact_greedy(bucket, terminals.total(), config.bus_width,
-                          config.compaction);
-  };
-  const auto any_bus = [](std::span<const SiPattern> bucket) {
-    for (const SiPattern& p : bucket) {
-      if (!p.bus_bits().empty()) return true;
-    }
-    return false;
-  };
-
-  if (parts == 1) {
-    // Pure vertical compaction; every pattern loads all cores' WOCs.
-    if (!patterns.empty()) {
-      const CompactionResult compacted = compact(patterns);
-      SiTestGroup group;
-      group.label = "g1";
-      group.cores = all_cores;
-      group.raw_patterns = static_cast<std::int64_t>(patterns.size());
-      group.patterns =
-          static_cast<std::int64_t>(compacted.patterns.size());
-      group.uses_bus = any_bus(patterns);
-      set.groups.push_back(std::move(group));
-    }
-    return set;
-  }
-
-  // Partition cores to minimize the (weighted) number of cross-group
-  // patterns; then bucket each pattern by the part of its care cores.
-  const Hypergraph hg = build_core_hypergraph(patterns, terminals);
-  const Partition partition =
-      partition_hypergraph(hg, parts, config.partition);
-
-  std::vector<std::vector<SiPattern>> buckets(
-      static_cast<std::size_t>(parts));
-  std::vector<SiPattern> remainder;
-  for (const SiPattern& p : patterns) {
-    const auto care = p.care_cores(terminals);
-    // Per-pattern in the bucketing loop: debug/sanitizer builds only. An
-    // all-don't-care pattern would be dropped by compaction upstream.
-    SITAM_DCHECK_MSG(!care.empty(), "pattern with no care cores");
-    const int part = partition.part_of[static_cast<std::size_t>(care[0])];
-    const bool local = std::all_of(care.begin(), care.end(), [&](int c) {
-      return partition.part_of[static_cast<std::size_t>(c)] == part;
-    });
-    if (local) {
-      buckets[static_cast<std::size_t>(part)].push_back(p);
-    } else {
-      remainder.push_back(p);
-    }
-  }
-
-  for (int part = 0; part < parts; ++part) {
-    const auto& bucket = buckets[static_cast<std::size_t>(part)];
-    if (bucket.empty()) continue;
-    SiTestGroup group;
-    group.label = "g" + std::to_string(part + 1);
-    for (int core = 0; core < cores; ++core) {
-      if (partition.part_of[static_cast<std::size_t>(core)] == part) {
-        group.cores.push_back(core);
-      }
-    }
-    group.raw_patterns = static_cast<std::int64_t>(bucket.size());
-    group.patterns =
-        static_cast<std::int64_t>(compact(bucket).patterns.size());
-    group.uses_bus = any_bus(bucket);
-    set.groups.push_back(std::move(group));
-  }
-
-  if (!remainder.empty()) {
-    SiTestGroup group;
-    group.label = "rem";
-    group.cores = all_cores;  // cross-group patterns load every boundary
-    group.is_remainder = true;
-    group.raw_patterns = static_cast<std::int64_t>(remainder.size());
-    group.patterns =
-        static_cast<std::int64_t>(compact(remainder).patterns.size());
-    group.uses_bus = any_bus(remainder);
-    set.groups.push_back(std::move(group));
-  }
-  return set;
+  const int groupings[] = {parts};
+  return SiTestSetBuilder(patterns, terminals, groupings).build(parts, config);
 }
 
 }  // namespace sitam

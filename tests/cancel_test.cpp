@@ -1,6 +1,6 @@
 // Cooperative cancellation: util/cancel.h plus the token plumbing through
-// SiWorkload::prepare, the optimizer restart loop, the annealing chains
-// and SitamContext. The soak half drives a long p93791 job through the
+// SiWorkload::prepare (down to the partitioner and the compaction engine),
+// the optimizer restart loop, the annealing chains and SitamContext. The soak half drives a long p93791 job through the
 // JobServer, cancels it mid-flight, and proves the worker comes back
 // promptly, the evaluator-stats invariant still holds, and an identical
 // follow-up request completes normally against unpoisoned caches.
@@ -17,7 +17,12 @@
 #include <vector>
 
 #include "core/context.h"
+#include "interconnect/terminal_space.h"
+#include "obs/obs.h"
+#include "pattern/generator.h"
 #include "serve/server.h"
+#include "sitest/group.h"
+#include "sitest/io.h"
 #include "soc/benchmarks.h"
 #include "tam/annealing.h"
 #include "tam/optimizer.h"
@@ -51,6 +56,54 @@ TEST(Cancel, PreCancelledTokenUnwindsPrepare) {
   config.pattern_count = 300;
   config.groupings = {2};
   EXPECT_THROW((void)SiWorkload::prepare(soc, config, &token), Cancelled);
+}
+
+TEST(Cancel, RequestedTokenStopsLargePrepareBeforeCompactionEnds) {
+  const Soc soc = load_benchmark("p93791");
+  SiWorkloadConfig config;
+  config.pattern_count = 100000;
+  config.groupings = {1};
+  CancelToken token;
+  token.request();
+  obs::TraceSession session;
+  EXPECT_THROW((void)SiWorkload::prepare(soc, config, &token), Cancelled);
+
+  // prepare forwards its token into the grouping config; the layers it
+  // reaches stop on their own: the compaction engine (grouping 1) and the
+  // partitioner (grouping 2), both before any bucket is compacted.
+  const TerminalSpace terminals(soc);
+  Rng rng(config.seed);
+  const std::vector<SiPattern> raw = generate_random_patterns(
+      terminals, config.pattern_count, config.patterns, rng);
+  GroupingConfig grouping;
+  grouping.compaction.cancel = &token;
+  grouping.partition.cancel = &token;
+  EXPECT_THROW((void)build_si_test_set(raw, terminals, 1, grouping),
+               Cancelled);
+  EXPECT_THROW((void)build_si_test_set(raw, terminals, 2, grouping),
+               Cancelled);
+  const obs::TraceDump dump = session.stop();
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.patterns_in"), 0);
+  EXPECT_EQ(dump.metrics.counter("pattern.compaction.patterns_out"), 0);
+}
+
+TEST(Cancel, UnrequestedTokenLeavesPrepareByteIdentical) {
+  const Soc soc = load_benchmark("p93791");
+  SiWorkloadConfig config;
+  config.pattern_count = 20000;
+  config.groupings = {1, 2, 4, 8};
+  CancelToken token;
+  for (const bool parallel : {false, true}) {
+    config.parallel_prepare = parallel;
+    const SiWorkload plain = SiWorkload::prepare(soc, config);
+    const SiWorkload watched = SiWorkload::prepare(soc, config, &token);
+    for (const int parts : config.groupings) {
+      EXPECT_EQ(test_set_to_text(watched.tests(parts)),
+                test_set_to_text(plain.tests(parts)))
+          << "parts " << parts << " parallel " << parallel;
+    }
+  }
+  EXPECT_FALSE(token.requested());
 }
 
 TEST(Cancel, PreCancelledTokenUnwindsOptimizerAndAnnealing) {

@@ -4,7 +4,7 @@
 // of the class-bitset engine with its oracles — the sparse reference sweep
 // for compact_greedy and a naive density-order first-fit for
 // compact_first_fit — including class counts past the 64- and 128-class
-// block boundaries.
+// block boundaries — and of the count-only subset entry with compact_greedy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -473,6 +473,107 @@ TEST(CompactGreedy, MatchesReferenceAcrossSocsAndSeeds) {
           << name << " seed=" << seed;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// compact_greedy_count: the class count of compact_greedy over an index
+// subset, without materialising.
+// ---------------------------------------------------------------------------
+
+std::size_t greedy_count_of_copy(const std::vector<SiPattern>& patterns,
+                                 const std::vector<std::uint32_t>& indices,
+                                 int terminals, int bus_width) {
+  std::vector<SiPattern> copy;
+  for (const std::uint32_t i : indices) copy.push_back(patterns[i]);
+  return compact_greedy(copy, terminals, bus_width).patterns.size();
+}
+
+TEST(CompactGreedyCount, MatchesCompactGreedyOnRandomSubsets) {
+  for (const char* name : {"d695", "p93791"}) {
+    const Soc soc = load_benchmark(name);
+    const TerminalSpace ts(soc);
+    const RandomPatternConfig config;
+    Rng rng(31);
+    const auto patterns = generate_random_patterns(ts, 3000, config, rng);
+    std::vector<std::uint32_t> all(patterns.size());
+    std::iota(all.begin(), all.end(), std::uint32_t{0});
+    EXPECT_EQ(compact_greedy_count(patterns, all, ts.total(), config.bus_width),
+              compact_greedy(patterns, ts.total(), config.bus_width)
+                  .patterns.size())
+        << name;
+    for (int trial = 0; trial < 6; ++trial) {
+      // Ascending subsets (what the SI test-set builder passes) and
+      // shuffled ones with repeats: the count follows the given order.
+      std::vector<std::uint32_t> subset;
+      const std::uint64_t keep = 1 + rng.below(4);
+      for (const std::uint32_t i : all) {
+        if (rng.below(4) < keep) subset.push_back(i);
+      }
+      if (trial % 2 == 1) {
+        subset.push_back(subset.front());
+        rng.shuffle(subset);
+      }
+      EXPECT_EQ(compact_greedy_count(patterns, subset, ts.total(),
+                                     config.bus_width),
+                greedy_count_of_copy(patterns, subset, ts.total(),
+                                     config.bus_width))
+          << name << " trial " << trial;
+    }
+  }
+}
+
+TEST(CompactGreedyCount, DenseConflictsAndEmptySubset) {
+  Rng rng(32);
+  std::vector<SiPattern> patterns;
+  for (int i = 0; i < 600; ++i) {
+    patterns.push_back(random_pattern(rng, 12, 4, 3));
+  }
+  std::vector<std::uint32_t> subset;
+  for (std::uint32_t i = 0; i < patterns.size(); i += 1 + (i % 3)) {
+    subset.push_back(i);
+  }
+  EXPECT_EQ(compact_greedy_count(patterns, subset, 12, 4),
+            greedy_count_of_copy(patterns, subset, 12, 4));
+  EXPECT_EQ(compact_greedy_count(patterns, {}, 12, 4), 0u);
+  EXPECT_EQ(compact_greedy_count({}, {}, 0, 0), 0u);
+}
+
+TEST(CompactGreedyCount, RejectsWhatCompactGreedyRejects) {
+  std::vector<SiPattern> patterns(50, make({{1, SigValue::kRise}}));
+  patterns.push_back(make({{0, SigValue::kRise}}, {{4, 0}}));  // bus line 4
+  patterns.push_back(make({{10, SigValue::kRise}}));           // terminal 10
+  const std::vector<std::uint32_t> clean = {0, 1, 2};
+  EXPECT_EQ(compact_greedy_count(patterns, clean, 10, 4), 1u);
+  for (const std::uint32_t bad : {50u, 51u}) {
+    const std::vector<std::uint32_t> subset = {0, 1, bad};
+    const std::vector<SiPattern> copy = {patterns[0], patterns[1],
+                                         patterns[bad]};
+    EXPECT_THROW((void)compact_greedy(copy, 10, 4), std::out_of_range);
+    EXPECT_THROW((void)compact_greedy_count(patterns, subset, 10, 4),
+                 std::out_of_range);
+  }
+  const std::vector<std::uint32_t> past_end = {0, 52};
+  EXPECT_THROW((void)compact_greedy_count(patterns, past_end, 10, 4),
+               std::out_of_range);
+  EXPECT_THROW((void)compact_greedy_count(patterns, clean, -1, 4),
+               std::invalid_argument);
+  CompactionConfig config;
+  config.threads = 0;
+  EXPECT_THROW((void)compact_greedy_count(patterns, clean, 10, 4, config),
+               std::invalid_argument);
+}
+
+TEST(CompactGreedyCount, RequestedTokenCancels) {
+  std::vector<SiPattern> patterns(10, make({{1, SigValue::kRise}}));
+  const std::vector<std::uint32_t> all = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  CancelToken token;
+  CompactionConfig config;
+  config.cancel = &token;
+  EXPECT_EQ(compact_greedy_count(patterns, all, 10, 4, config), 1u);
+  token.request();
+  EXPECT_THROW((void)compact_greedy_count(patterns, all, 10, 4, config),
+               Cancelled);
+  EXPECT_THROW((void)compact_greedy(patterns, 10, 4, config), Cancelled);
 }
 
 TEST(CompactionStats, RatioArithmetic) {

@@ -12,11 +12,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/context.h"
 #include "core/report.h"
 #include "obs/export.h"
 #include "obs/manifest.h"
 #include "obs/obs.h"
 #include "obs/trace_verify.h"
+#include "sitest/io.h"
+#include "soc/benchmarks.h"
 #include "soc/synth.h"
 #include "tam/optimizer.h"
 #include "util/json.h"
@@ -374,6 +377,68 @@ TEST(Obs, TracingDoesNotChangeOptimizationResults) {
   EXPECT_EQ(traced.evaluation.t_soc, untraced.evaluation.t_soc);
   EXPECT_EQ(traced.architecture.describe(), untraced.architecture.describe());
   EXPECT_EQ(traced.stats.evaluations, untraced.stats.evaluations);
+}
+
+std::int64_t spans_named(const TraceDump& dump, std::string_view name) {
+  std::int64_t n = 0;
+  for (const obs::TrackDump& track : dump.tracks) {
+    for (const obs::SpanEvent& span : track.spans) {
+      n += std::string_view(span.name) == name ? 1 : 0;
+    }
+  }
+  return n;
+}
+
+TEST(Obs, PrepareSpansCoverEachLayerAndTracingChangesNothing) {
+  const Soc soc = load_benchmark("d695");
+  SiWorkloadConfig config;
+  config.pattern_count = 2000;
+  config.groupings = {1, 2, 4};
+  config.parallel_prepare = false;
+  const SiWorkload untraced = SiWorkload::prepare(soc, config);
+
+  obs::TraceSession session;
+  const SiWorkload traced = SiWorkload::prepare(soc, config);
+  const TraceDump dump = session.stop();
+
+  std::int64_t groups = 0;
+  for (const int parts : config.groupings) {
+    EXPECT_EQ(test_set_to_text(traced.tests(parts)),
+              test_set_to_text(untraced.tests(parts)));
+    groups += static_cast<std::int64_t>(traced.tests(parts).groups.size());
+  }
+  // Care sets and hypergraph once per workload; one partition per grouping
+  // above 1; one compaction per non-empty bucket.
+  EXPECT_EQ(spans_named(dump, "sitest.care_sets.build"), 1);
+  EXPECT_EQ(spans_named(dump, "sitest.hypergraph.build"), 1);
+  EXPECT_EQ(spans_named(dump, "sitest.hypergraph.partition"), 2);
+  EXPECT_EQ(spans_named(dump, "sitest.bucket.compact"), groups);
+  EXPECT_EQ(spans_named(dump, "flow.workload.compact"), 3);
+}
+
+TEST(Obs, SweepStatsTotalReconcilesWithTheCounters) {
+  SitamContext context;
+  FlowRequest request;
+  request.mode = FlowMode::kSweep;
+  request.soc = context.intern(load_benchmark("mini5"));
+  request.workload.pattern_count = 300;
+  request.widths = {2, 4};
+  obs::TraceSession session;
+  const FlowResult result = context.run(request);
+  const TraceDump dump = session.stop();
+
+  // The baseline's InTest-only optimization and its per-grouping scoring
+  // are evaluations too; total_stats counts them like the counters do.
+  const EvaluatorStats total = total_stats(result);
+  EXPECT_GT(result.sweep.rows.front().baseline_stats.evaluations, 0);
+  EXPECT_EQ(dump.metrics.counter("tam.evaluator.evaluations"),
+            total.evaluations);
+  EXPECT_EQ(dump.metrics.counter("tam.evaluator.cache_hits"),
+            total.cache_hits);
+  EXPECT_EQ(dump.metrics.counter("tam.evaluator.delta_hits"),
+            total.delta_hits);
+  EXPECT_EQ(dump.metrics.counter("tam.evaluator.cache_misses"),
+            total.cache_misses);
 }
 
 // Satellite: the empty-stats guard in render_evaluator_stats must not

@@ -1,11 +1,15 @@
 // Tests for src/sitest: the core-level hypergraph construction and the
-// two-dimensional grouping (horizontal compaction) of §3.
+// two-dimensional grouping (horizontal compaction) of §3, including the
+// one-pass SiTestSetBuilder against a copy of the per-grouping algorithm it
+// replaced.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <set>
 
 #include "interconnect/terminal_space.h"
+#include "pattern/compaction.h"
 #include "pattern/generator.h"
 #include "sitest/group.h"
 #include "soc/benchmarks.h"
@@ -93,6 +97,18 @@ TEST_F(SitestTest, EmptyPatternSetGivesEmptyTestSet) {
   const SiTestSet set = build_si_test_set({}, ts_, 1, config_);
   EXPECT_TRUE(set.groups.empty());
   EXPECT_EQ(set.total_patterns(), 0);
+}
+
+TEST_F(SitestTest, DontCarePatternsJoinTheRemainder) {
+  const std::vector<SiPattern> patterns = {
+      on_cores(ts_, {0}), SiPattern{}, on_cores(ts_, {1}), SiPattern{}};
+  const SiTestSet set = build_si_test_set(patterns, ts_, 2, config_);
+  ASSERT_FALSE(set.groups.empty());
+  const SiTestGroup& rem = set.groups.back();
+  EXPECT_TRUE(rem.is_remainder);
+  EXPECT_EQ(rem.raw_patterns, 2);
+  EXPECT_EQ(rem.patterns, 1);
+  EXPECT_EQ(set.total_raw_patterns(), 4);
 }
 
 TEST_F(SitestTest, RejectsNonPositiveParts) {
@@ -200,6 +216,166 @@ TEST(SitestBig, RealisticWorkloadOnP93791) {
     if (g.is_remainder) remainder_raw = g.raw_patterns;
   }
   EXPECT_LT(remainder_raw, 5000 * 3 / 4);
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass builder against the per-grouping algorithm it replaced: care
+// sets recomputed per pattern, a map-merged hypergraph per grouping, every
+// pattern copied into its bucket and compact_greedy run to the full
+// compacted set only for its size.
+// ---------------------------------------------------------------------------
+
+Hypergraph reference_hypergraph(std::span<const SiPattern> patterns,
+                                const TerminalSpace& terminals) {
+  Hypergraph hg;
+  for (int core = 0; core < terminals.core_count(); ++core) {
+    hg.vertex_weights.push_back(terminals.woc(core));
+  }
+  std::map<std::vector<int>, std::int64_t> merged;
+  for (const SiPattern& p : patterns) {
+    std::vector<int> pins = p.care_cores(terminals);
+    if (!pins.empty()) merged[std::move(pins)] += 1;
+  }
+  for (auto& [pins, weight] : merged) hg.edges.push_back(Hyperedge{pins, weight});
+  return hg;
+}
+
+SiTestSet reference_test_set(std::span<const SiPattern> patterns,
+                             const TerminalSpace& terminals, int parts,
+                             const GroupingConfig& config) {
+  std::vector<int> all_cores(static_cast<std::size_t>(terminals.core_count()));
+  std::iota(all_cores.begin(), all_cores.end(), 0);
+  const auto compacted = [&](std::span<const SiPattern> bucket) {
+    return static_cast<std::int64_t>(
+        compact_greedy(bucket, terminals.total(), config.bus_width,
+                       config.compaction)
+            .patterns.size());
+  };
+  const auto any_bus = [](std::span<const SiPattern> bucket) {
+    for (const SiPattern& p : bucket) {
+      if (!p.bus_bits().empty()) return true;
+    }
+    return false;
+  };
+  SiTestSet set;
+  set.parts = parts;
+  if (patterns.empty()) return set;
+  if (parts == 1) {
+    SiTestGroup group;
+    group.label = "g1";
+    group.cores = all_cores;
+    group.raw_patterns = static_cast<std::int64_t>(patterns.size());
+    group.patterns = compacted(patterns);
+    group.uses_bus = any_bus(patterns);
+    set.groups.push_back(group);
+    return set;
+  }
+  const Partition partition = partition_hypergraph(
+      reference_hypergraph(patterns, terminals), parts, config.partition);
+  std::vector<std::vector<SiPattern>> buckets(static_cast<std::size_t>(parts));
+  std::vector<SiPattern> remainder;
+  for (const SiPattern& p : patterns) {
+    const std::vector<int> care = p.care_cores(terminals);
+    const int part = partition.part_of[static_cast<std::size_t>(care[0])];
+    bool local = true;
+    for (const int c : care) {
+      local = local && partition.part_of[static_cast<std::size_t>(c)] == part;
+    }
+    (local ? buckets[static_cast<std::size_t>(part)] : remainder).push_back(p);
+  }
+  for (int part = 0; part < parts; ++part) {
+    const auto& bucket = buckets[static_cast<std::size_t>(part)];
+    if (bucket.empty()) continue;
+    SiTestGroup group;
+    group.label = "g" + std::to_string(part + 1);
+    for (int core = 0; core < terminals.core_count(); ++core) {
+      if (partition.part_of[static_cast<std::size_t>(core)] == part) {
+        group.cores.push_back(core);
+      }
+    }
+    group.raw_patterns = static_cast<std::int64_t>(bucket.size());
+    group.patterns = compacted(bucket);
+    group.uses_bus = any_bus(bucket);
+    set.groups.push_back(group);
+  }
+  if (!remainder.empty()) {
+    SiTestGroup group;
+    group.label = "rem";
+    group.cores = all_cores;
+    group.is_remainder = true;
+    group.raw_patterns = static_cast<std::int64_t>(remainder.size());
+    group.patterns = compacted(remainder);
+    group.uses_bus = any_bus(remainder);
+    set.groups.push_back(group);
+  }
+  return set;
+}
+
+void expect_same_test_set(const SiTestSet& actual, const SiTestSet& expected,
+                          const std::string& where) {
+  EXPECT_EQ(actual.parts, expected.parts) << where;
+  ASSERT_EQ(actual.groups.size(), expected.groups.size()) << where;
+  for (std::size_t g = 0; g < actual.groups.size(); ++g) {
+    const SiTestGroup& a = actual.groups[g];
+    const SiTestGroup& e = expected.groups[g];
+    EXPECT_EQ(a.label, e.label) << where;
+    EXPECT_EQ(a.cores, e.cores) << where << " " << e.label;
+    EXPECT_EQ(a.raw_patterns, e.raw_patterns) << where << " " << e.label;
+    EXPECT_EQ(a.patterns, e.patterns) << where << " " << e.label;
+    EXPECT_EQ(a.is_remainder, e.is_remainder) << where << " " << e.label;
+    EXPECT_EQ(a.uses_bus, e.uses_bus) << where << " " << e.label;
+    EXPECT_EQ(a.power, e.power) << where << " " << e.label;
+  }
+}
+
+TEST(SiTestSetBuilder, MatchesThePerGroupingAlgorithm) {
+  const std::vector<int> groupings = {1, 2, 3, 4, 8};
+  for (const char* name : {"d695", "p34392", "p93791"}) {
+    const Soc soc = load_benchmark(name);
+    const TerminalSpace ts(soc);
+    for (const std::uint64_t seed : {21u, 22u, 23u}) {
+      Rng rng(seed);
+      const auto patterns =
+          generate_random_patterns(ts, 3000, RandomPatternConfig{}, rng);
+      GroupingConfig config;
+      config.partition.seed = seed;
+      const Hypergraph expected_hg = reference_hypergraph(patterns, ts);
+      const Hypergraph hg = build_core_hypergraph(patterns, ts);
+      EXPECT_EQ(hg.vertex_weights, expected_hg.vertex_weights);
+      ASSERT_EQ(hg.edges.size(), expected_hg.edges.size()) << name;
+      for (std::size_t e = 0; e < hg.edges.size(); ++e) {
+        EXPECT_EQ(hg.edges[e].pins, expected_hg.edges[e].pins) << name;
+        EXPECT_EQ(hg.edges[e].weight, expected_hg.edges[e].weight) << name;
+      }
+
+      const SiTestSetBuilder builder(patterns, ts, groupings);
+      for (const int parts : groupings) {
+        const std::string where = std::string(name) + " seed " +
+                                  std::to_string(seed) + " parts " +
+                                  std::to_string(parts);
+        const SiTestSet expected =
+            reference_test_set(patterns, ts, parts, config);
+        expect_same_test_set(builder.build(parts, config), expected, where);
+        expect_same_test_set(build_si_test_set(patterns, ts, parts, config),
+                             expected, where + " (wrapper)");
+      }
+    }
+  }
+}
+
+TEST(SiTestSetBuilder, GroupingOneNeedsNoHypergraph) {
+  const Soc soc = load_benchmark("mini5");
+  const TerminalSpace ts(soc);
+  Rng rng(3);
+  const auto patterns =
+      generate_random_patterns(ts, 200, RandomPatternConfig{}, rng);
+  const int only_one[] = {1};
+  const SiTestSetBuilder builder(patterns, ts, only_one);
+  const GroupingConfig config;
+  expect_same_test_set(builder.build(1, config),
+                       reference_test_set(patterns, ts, 1, config), "parts 1");
+  EXPECT_THROW((void)builder.build(2, config), std::invalid_argument);
+  EXPECT_THROW((void)builder.build(0, config), std::invalid_argument);
 }
 
 }  // namespace

@@ -264,6 +264,7 @@ int cmd_optimize(const CliArgs& args) {
       request.optimizer.threads);
   const FlowResult flow = context.run(request);
   const OptimizeResult& result = flow.optimize;
+  const EvaluatorStats stats = total_stats(flow);
   if (!emitter.finish()) return 1;
 
   if (args.has("json")) {
@@ -274,7 +275,7 @@ int cmd_optimize(const CliArgs& args) {
     json.key("n_r").value(request.workload.pattern_count);
     json.key("parts").value(std::int64_t{parts});
     architecture_json(json, result.architecture, result.evaluation);
-    stats_json(json, result.stats);
+    stats_json(json, stats);
     json.key("lower_bound").value(flow.lower_bound);
     json.key("si_wrapper_extra_ge").value(flow.area.si_extra_ge);
     json.end_object();
@@ -283,7 +284,7 @@ int cmd_optimize(const CliArgs& args) {
   }
   std::cout << describe_evaluation(result.architecture, result.evaluation,
                                    flow.tests);
-  print_stats(result.stats);
+  print_stats(stats);
   std::cout << "lower bound (architecture-independent): " << flow.lower_bound
             << " cc\n";
   std::cout << "SI wrapper extra area: " << flow.area.si_extra_ge << " GE ("
@@ -368,13 +369,10 @@ int cmd_sweep(const CliArgs& args) {
   obs::TraceEmitter emitter = trace_emitter(
       args, request.soc->name, request.workload.seed,
       request.optimizer.threads);
-  const SweepResult sweep = context.run(request).sweep;
+  const FlowResult flow = context.run(request);
+  const SweepResult& sweep = flow.sweep;
+  const EvaluatorStats total = total_stats(flow);
   if (!emitter.finish()) return 1;
-
-  EvaluatorStats total;
-  for (const ExperimentOutcome& row : sweep.rows) {
-    for (const OptimizeResult& r : row.per_grouping) total += r.stats;
-  }
 
   if (args.has("json")) {
     JsonWriter json;
